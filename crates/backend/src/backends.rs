@@ -1,14 +1,14 @@
-//! The [`SolveBackend`] trait and its four substrate implementations.
+//! The [`SolveBackend`] trait, the CPU backend, and the helpers every
+//! backend shares.
 
-use crate::report::{BatchReport, DeviceProfile, FaultLog};
+use crate::report::{BatchReport, FaultLog};
 use crate::spec::BackendError;
 use crate::strategy::{KernelRegistry, KernelStrategy};
-use gpusim::{DeviceSpec, MultiGpu, ProfileSnapshot, TransferModel};
 use sshopm::batch::BatchSolver;
 use sshopm::Solver;
 use std::time::Instant;
 use symtensor::{flops, Scalar, TensorBatch};
-use telemetry::{CommStats, Telemetry};
+use telemetry::Telemetry;
 
 /// An execution substrate for the paper's batched SS-HOPM workload: many
 /// same-shaped tensors, each solved from a shared set of starting vectors.
@@ -122,147 +122,33 @@ pub(crate) fn kernel_cache_delta(
     })
 }
 
-fn cpu_solve_batch<S: Scalar>(
-    label: String,
-    strategy: KernelStrategy,
-    threads: usize,
-    batch: &TensorBatch<S>,
-    starts: &[Vec<S>],
-    solver: &dyn Solver<S>,
-    telemetry: &Telemetry,
-) -> Result<BatchReport<S>, BackendError> {
-    if batch.is_empty() {
-        return Ok(empty_report(label, strategy, solver));
-    }
-    let (m, n) = (batch.order(), batch.dim());
-    let registry = KernelRegistry::global();
-    let cache_before = registry.stats();
-    // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
-    // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
-    // keep the scalar per-tensor loop with the same lane-table kernels.
-    if strategy == KernelStrategy::Batched {
-        if let Some(alpha) = sshopm::lockstep_alpha(solver) {
-            let kernels = registry.batched(m, n);
-            let started = Instant::now();
-            let result = sshopm::solve_batch_lockstep(
-                &kernels,
-                batch.view(),
-                starts,
-                alpha,
-                solver.policy(),
-                threads,
-                telemetry,
-            );
-            let seconds = started.elapsed().as_secs_f64();
-            let report = BatchReport {
-                backend: label,
-                kernel: strategy.name().to_string(),
-                solver: solver.name().to_string(),
-                useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
-                results: result.results,
-                total_iterations: result.total_iterations,
-                seconds,
-                profiles: Vec::new(),
-                hosts: Vec::new(),
-                comm: Default::default(),
-                fault_log: FaultLog::default(),
-                kernel_cache: kernel_cache_delta(&cache_before),
-                timeline: None,
-            };
-            emit_run_report(telemetry, &report);
-            return Ok(report);
-        }
-    }
-    let plan = registry.plan::<S>(m, n, strategy);
-    let started = Instant::now();
-    let result = BatchSolver::new(solver).with_threads(threads).run(
-        &*plan.kernels,
-        batch,
-        starts,
-        telemetry,
-    );
-    let seconds = started.elapsed().as_secs_f64();
-    let report = BatchReport {
-        backend: label,
-        kernel: plan.effective.name().to_string(),
-        solver: solver.name().to_string(),
-        useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
-        results: result.results,
-        total_iterations: result.total_iterations,
-        seconds,
-        profiles: Vec::new(),
-        hosts: Vec::new(),
-        comm: Default::default(),
-        fault_log: FaultLog::default(),
-        kernel_cache: kernel_cache_delta(&cache_before),
-        timeline: None,
-    };
-    emit_run_report(telemetry, &report);
-    Ok(report)
-}
-
-/// The paper's "CPU – 1 core" row: strictly sequential on the calling
-/// thread, no thread pool involved.
+/// The paper's CPU rows: `threads == 1` is the "CPU – 1 core" row,
+/// strictly sequential on the calling thread with no thread pool
+/// involved; otherwise rayon `par_iter` over tensors (the OpenMP rows).
 #[derive(Debug, Clone, Copy)]
-pub struct CpuSequential {
-    /// Kernel implementation to use.
-    pub strategy: KernelStrategy,
-}
-
-impl CpuSequential {
-    /// A sequential CPU backend with the given kernel strategy.
-    pub fn new(strategy: KernelStrategy) -> Self {
-        Self { strategy }
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for CpuSequential {
-    fn label(&self) -> String {
-        "cpu".to_string()
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        cpu_solve_batch(
-            SolveBackend::<S>::label(self),
-            self.strategy,
-            1,
-            batch,
-            starts,
-            solver,
-            telemetry,
-        )
-    }
-}
-
-/// The paper's OpenMP rows: rayon `par_iter` over tensors.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuParallel {
-    /// Worker threads: `0` = the global rayon pool, `k` = a dedicated
-    /// pool of exactly `k` workers (the 4-core / 8-core benchmark rows).
+pub struct Cpu {
+    /// Worker threads: `1` = sequential on the calling thread, `0` = the
+    /// global rayon pool, `k` = a dedicated pool of exactly `k` workers
+    /// (the 4-core / 8-core benchmark rows).
     pub threads: usize,
     /// Kernel implementation to use.
     pub strategy: KernelStrategy,
 }
 
-impl CpuParallel {
-    /// A parallel CPU backend on `threads` workers (`0` = all cores).
+impl Cpu {
+    /// A CPU backend on `threads` workers (`1` = sequential, `0` = all
+    /// cores) with the given kernel strategy.
     pub fn new(threads: usize, strategy: KernelStrategy) -> Self {
         Self { threads, strategy }
     }
 }
 
-impl<S: Scalar> SolveBackend<S> for CpuParallel {
+impl<S: Scalar> SolveBackend<S> for Cpu {
     fn label(&self) -> String {
-        if self.threads == 0 {
-            "cpu:all".to_string()
-        } else {
-            format!("cpu:{}", self.threads)
+        match self.threads {
+            1 => "cpu".to_string(),
+            0 => "cpu:all".to_string(),
+            k => format!("cpu:{k}"),
         }
     }
 
@@ -273,15 +159,75 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         solver: &dyn Solver<S>,
         telemetry: &Telemetry,
     ) -> Result<BatchReport<S>, BackendError> {
-        cpu_solve_batch(
-            SolveBackend::<S>::label(self),
-            self.strategy,
-            self.threads,
+        let label = SolveBackend::<S>::label(self);
+        if batch.is_empty() {
+            return Ok(empty_report(label, self.strategy, solver));
+        }
+        let (m, n) = (batch.order(), batch.dim());
+        let registry = KernelRegistry::global();
+        let cache_before = registry.stats();
+        // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
+        // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
+        // keep the scalar per-tensor loop with the same lane-table kernels.
+        if self.strategy == KernelStrategy::Batched {
+            if let Some(alpha) = sshopm::lockstep_alpha(solver) {
+                let kernels = registry.batched(m, n);
+                let started = Instant::now();
+                let result = sshopm::solve_batch_lockstep(
+                    &kernels,
+                    batch.view(),
+                    starts,
+                    alpha,
+                    solver.policy(),
+                    self.threads,
+                    telemetry,
+                );
+                let seconds = started.elapsed().as_secs_f64();
+                let report = BatchReport {
+                    backend: label,
+                    kernel: self.strategy.name().to_string(),
+                    solver: solver.name().to_string(),
+                    useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
+                    results: result.results,
+                    total_iterations: result.total_iterations,
+                    seconds,
+                    profiles: Vec::new(),
+                    hosts: Vec::new(),
+                    comm: Default::default(),
+                    fault_log: FaultLog::default(),
+                    kernel_cache: kernel_cache_delta(&cache_before),
+                    timeline: None,
+                };
+                emit_run_report(telemetry, &report);
+                return Ok(report);
+            }
+        }
+        let plan = registry.plan::<S>(m, n, self.strategy);
+        let started = Instant::now();
+        let result = BatchSolver::new(solver).with_threads(self.threads).run(
+            &*plan.kernels,
             batch,
             starts,
-            solver,
             telemetry,
-        )
+        );
+        let seconds = started.elapsed().as_secs_f64();
+        let report = BatchReport {
+            backend: label,
+            kernel: plan.effective.name().to_string(),
+            solver: solver.name().to_string(),
+            useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
+            results: result.results,
+            total_iterations: result.total_iterations,
+            seconds,
+            profiles: Vec::new(),
+            hosts: Vec::new(),
+            comm: Default::default(),
+            fault_log: FaultLog::default(),
+            kernel_cache: kernel_cache_delta(&cache_before),
+            timeline: None,
+        };
+        emit_run_report(telemetry, &report);
+        Ok(report)
     }
 }
 
@@ -329,347 +275,4 @@ pub(crate) fn total_iterations_of<S: Scalar>(results: &[Vec<sshopm::Eigenpair<S>
         .flat_map(|row| row.iter())
         .map(|p| p.iterations as u64)
         .sum()
-}
-
-/// One simulated GPU (Section V of the paper): one thread block per
-/// tensor, one thread per starting vector. Wall time is the analytic
-/// kernel estimate; transfers are excluded, as in the paper's timings.
-#[derive(Debug, Clone)]
-pub struct GpuSimBackend {
-    /// The device model to launch on.
-    pub device: DeviceSpec,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
-}
-
-impl GpuSimBackend {
-    /// A single simulated device with the given kernel strategy.
-    pub fn new(device: DeviceSpec, strategy: KernelStrategy) -> Self {
-        Self { device, strategy }
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
-    fn label(&self) -> String {
-        format!("gpusim:{}", crate::spec::device_slug(self.device.name))
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
-        let alpha = fixed_alpha(solver, "GpuSimBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
-        let cache_before = KernelRegistry::global().stats();
-        let _batch_span = telemetry.span("batch.solve");
-        let (result, report) =
-            gpusim::launch_sshopm(&self.device, batch, starts, solver.policy(), alpha, variant)?;
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-        let snapshot = ProfileSnapshot::from_report(&self.device, &report);
-        snapshot.emit(telemetry);
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
-            total_iterations,
-            seconds: report.timing.seconds,
-            useful_flops: report.useful_flops,
-            profiles: vec![DeviceProfile {
-                device_index: 0,
-                host_index: 0,
-                num_tensors: batch.len(),
-                transfer_seconds: 0.0,
-                snapshot,
-            }],
-            hosts: Vec::new(),
-            comm: Default::default(),
-            fault_log: FaultLog::default(),
-            kernel_cache: kernel_cache_delta(&cache_before),
-            timeline: None,
-        };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
-    }
-}
-
-/// Several simulated GPUs sharing one host (Section V-B: the tensors are
-/// independent, so the batch splits across devices with no communication).
-/// Wall time is the slowest device's kernel-plus-transfer time.
-#[derive(Debug, Clone)]
-pub struct MultiGpuBackend {
-    /// The device models (may be heterogeneous).
-    pub devices: Vec<DeviceSpec>,
-    /// Host↔device interconnect model.
-    pub transfer: TransferModel,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
-}
-
-impl MultiGpuBackend {
-    /// A multi-device backend over `devices` with the given strategy.
-    ///
-    /// Returns an error if the device list is empty.
-    pub fn new(
-        devices: Vec<DeviceSpec>,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        if devices.is_empty() {
-            return Err(BackendError(
-                "multi-GPU backend needs at least one device".to_string(),
-            ));
-        }
-        Ok(Self {
-            devices,
-            transfer,
-            strategy,
-        })
-    }
-
-    /// `count` identical devices; errors when `count == 0`.
-    pub fn homogeneous(
-        device: DeviceSpec,
-        count: usize,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        Self::new(vec![device; count], transfer, strategy)
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for MultiGpuBackend {
-    fn label(&self) -> String {
-        format!(
-            "gpusim:{}:{}",
-            crate::spec::device_slug(self.devices[0].name),
-            self.devices.len()
-        )
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
-        let alpha = fixed_alpha(solver, "MultiGpuBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
-        let cache_before = KernelRegistry::global().stats();
-        let _batch_span = telemetry.span("batch.solve");
-        let mg = MultiGpu::new(self.devices.clone(), self.transfer)?;
-        let (result, report) = mg.launch(batch, starts, solver.policy(), alpha, variant)?;
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-        let profiles: Vec<DeviceProfile> = report
-            .slices
-            .iter()
-            .map(|slice| {
-                let snapshot =
-                    ProfileSnapshot::from_report(&self.devices[slice.device_index], &slice.report);
-                snapshot.emit(telemetry);
-                DeviceProfile {
-                    device_index: slice.device_index,
-                    host_index: 0,
-                    num_tensors: slice.num_tensors,
-                    transfer_seconds: slice.transfer_seconds,
-                    snapshot,
-                }
-            })
-            .collect();
-        report.timeline.emit(telemetry);
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
-            total_iterations,
-            seconds: report.seconds,
-            useful_flops: report.useful_flops,
-            profiles,
-            hosts: Vec::new(),
-            comm: CommStats::default(),
-            fault_log: FaultLog::default(),
-            kernel_cache: kernel_cache_delta(&cache_before),
-            timeline: Some(report.timeline),
-        };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
-    }
-}
-
-/// Double-buffered asynchronous execution (the stream model of a real
-/// CUDA driver): each device's share of the batch is cut into
-/// `chunk_tensors`-sized pieces dealt round-robin across
-/// `streams_per_device` streams, so chunk `k+1`'s upload overlaps chunk
-/// `k`'s kernel on the device's single copy engine. Wall time is the
-/// event timeline's makespan; results are bitwise identical to the
-/// synchronous backends (chunking changes the clock, never the
-/// arithmetic).
-#[derive(Debug, Clone)]
-pub struct PipelinedBackend {
-    /// The device models (may be heterogeneous).
-    pub devices: Vec<DeviceSpec>,
-    /// Host↔device interconnect model.
-    pub transfer: TransferModel,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
-    /// Streams per device (2 = classic double buffering).
-    pub streams_per_device: usize,
-    /// Tensors per chunk (each chunk is one upload + kernel + download).
-    pub chunk_tensors: usize,
-}
-
-impl PipelinedBackend {
-    /// Tensors per chunk unless overridden: matches the resilient
-    /// backend's chunking so the two models agree on launch granularity.
-    pub const DEFAULT_CHUNK_TENSORS: usize = 256;
-
-    /// A pipelined backend over `devices` with 2 streams per device and
-    /// the default chunk size; errors when the device list is empty.
-    pub fn new(
-        devices: Vec<DeviceSpec>,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        if devices.is_empty() {
-            return Err(BackendError(
-                "pipelined backend needs at least one device".to_string(),
-            ));
-        }
-        Ok(Self {
-            devices,
-            transfer,
-            strategy,
-            streams_per_device: 2,
-            chunk_tensors: Self::DEFAULT_CHUNK_TENSORS,
-        })
-    }
-
-    /// `count` identical devices; errors when `count == 0`.
-    pub fn homogeneous(
-        device: DeviceSpec,
-        count: usize,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        Self::new(vec![device; count], transfer, strategy)
-    }
-
-    /// Set the number of streams per device. Zero is an error (the CLI's
-    /// `--streams` flag lands here): a device with no streams can never
-    /// receive a chunk.
-    pub fn with_streams(mut self, streams_per_device: usize) -> Result<Self, BackendError> {
-        if streams_per_device == 0 {
-            return Err(BackendError(
-                "invalid --streams 0: need at least one stream per device".to_string(),
-            ));
-        }
-        self.streams_per_device = streams_per_device;
-        Ok(self)
-    }
-
-    /// Set the chunk size in tensors. Zero is an error (the CLI's
-    /// `--chunk-tensors` flag lands here): a zero-sized pipeline chunk
-    /// would make no progress.
-    pub fn with_chunk_tensors(mut self, chunk_tensors: usize) -> Result<Self, BackendError> {
-        if chunk_tensors == 0 {
-            return Err(BackendError(
-                "invalid --chunk-tensors 0: need at least one tensor per pipeline chunk"
-                    .to_string(),
-            ));
-        }
-        self.chunk_tensors = chunk_tensors;
-        Ok(self)
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for PipelinedBackend {
-    fn label(&self) -> String {
-        format!(
-            "pipelined:gpusim:{}:{}x{}",
-            crate::spec::device_slug(self.devices[0].name),
-            self.devices.len(),
-            self.streams_per_device
-        )
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
-        let alpha = fixed_alpha(solver, "PipelinedBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
-        let cache_before = KernelRegistry::global().stats();
-        let _batch_span = telemetry.span("batch.solve");
-        let mg = MultiGpu::new(self.devices.clone(), self.transfer)?;
-        let (result, report) = mg.launch_pipelined(
-            batch,
-            starts,
-            solver.policy(),
-            alpha,
-            variant,
-            self.chunk_tensors,
-            self.streams_per_device,
-        )?;
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-        let profiles: Vec<DeviceProfile> = report
-            .slices
-            .iter()
-            .map(|slice| {
-                let snapshot =
-                    ProfileSnapshot::from_report(&self.devices[slice.device_index], &slice.report);
-                snapshot.emit(telemetry);
-                DeviceProfile {
-                    device_index: slice.device_index,
-                    host_index: 0,
-                    num_tensors: slice.num_tensors,
-                    transfer_seconds: slice.transfer_seconds,
-                    snapshot,
-                }
-            })
-            .collect();
-        report.timeline.emit(telemetry);
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
-            total_iterations,
-            seconds: report.seconds,
-            useful_flops: report.useful_flops,
-            profiles,
-            hosts: Vec::new(),
-            comm: CommStats::default(),
-            fault_log: FaultLog::default(),
-            kernel_cache: kernel_cache_delta(&cache_before),
-            timeline: Some(report.timeline),
-        };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
-    }
 }

@@ -7,17 +7,22 @@
 //! straight-line code) is an axis *orthogonal* to the substrate. This
 //! crate models both axes explicitly:
 //!
-//! * [`SolveBackend`] — the substrate: *where* the batch runs.
-//!   Implementations: [`CpuSequential`], [`CpuParallel`],
-//!   [`GpuSimBackend`], [`MultiGpuBackend`], and the fault-tolerant
-//!   [`ResilientBackend`] (retry / failover / NaN recovery under an
-//!   injected [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
+//! * [`SolveBackend`] — the substrate: *where* the batch runs. Three
+//!   implementations: [`Cpu`] (sequential or a rayon pool),
+//!   [`GpuSimBackend`] (one simulated-GPU backend over any
+//!   [`gpusim::Cluster`] topology — one device, N devices, streamed
+//!   chunks, N hosts), and the fault-tolerant [`ResilientBackend`]
+//!   (retry / failover / NaN recovery under an injected
+//!   [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
 //! * [`KernelStrategy`] — the kernel implementation: *how* `A·xᵐ` /
 //!   `A·xᵐ⁻¹` are computed. Falls back gracefully when a strategy is
 //!   unavailable for a shape (e.g. no generated unrolled kernel).
 //! * [`BackendSpec`] — a declarative string form (`cpu`, `cpu:8`,
-//!   `gpusim`, `gpusim:tesla-c2050:4`) so CLIs and benchmark drivers
-//!   select backends without hand-rolled dispatch.
+//!   `gpusim`, `gpusim:tesla-c2050:4`, `pipelined:2`, `cluster:4:2:2`) so
+//!   CLIs and benchmark drivers select backends without hand-rolled
+//!   dispatch. The spec table is the only configuration surface of the
+//!   simulated-GPU backend: `gpusim`, `pipelined` and `cluster` are
+//!   spellings of one topology.
 //! * [`BatchReport`] — one result type unifying what used to be scattered
 //!   across `BatchResult`, `LaunchReport` and ad-hoc timing tuples:
 //!   eigenpairs, total iterations, wall time, flop accounting and
@@ -53,10 +58,8 @@ mod resilient;
 mod spec;
 mod strategy;
 
-pub use backends::{
-    CpuParallel, CpuSequential, GpuSimBackend, MultiGpuBackend, PipelinedBackend, SolveBackend,
-};
-pub use cluster::ClusterBackend;
+pub use backends::{Cpu, SolveBackend};
+pub use cluster::GpuSimBackend;
 pub use report::{BatchReport, DeviceProfile, FaultLog};
 pub use resilient::{parse_fault_plan, ResilientBackend};
 pub use spec::{BackendError, BackendSpec, DeviceKind};

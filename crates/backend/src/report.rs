@@ -90,7 +90,7 @@ impl FaultLog {
 /// GPU backends) the per-device profile snapshots.
 ///
 /// This unifies what used to be scattered across `sshopm::BatchResult`,
-/// `gpusim::LaunchReport`/`MultiReport` and ad-hoc `(seconds, iterations)`
+/// `gpusim::LaunchReport`/`ClusterReport` and ad-hoc `(seconds, iterations)`
 /// tuples in the benchmark drivers.
 #[derive(Debug, Clone)]
 pub struct BatchReport<S> {
@@ -124,9 +124,10 @@ pub struct BatchReport<S> {
     /// hits/misses, artifact-cache hits/misses, tapes generated). `None`
     /// when the solve touched no registry-managed kernels.
     pub kernel_cache: Option<KernelCacheStats>,
-    /// The resolved stream/event timeline behind `seconds`, when the
-    /// backend models asynchronous execution (`None` for CPU backends and
-    /// the single-launch GPU backend, whose clock has no ops to overlap).
+    /// The resolved stream/event timeline behind `seconds`, when one
+    /// clock covers the whole run: the simulated-GPU backend on a single
+    /// host and the resilient backend. `None` for CPU backends and for
+    /// multi-host runs, whose hosts keep separate clocks.
     pub timeline: Option<Timeline>,
 }
 
@@ -176,7 +177,7 @@ impl<S: Scalar> BatchReport<S> {
     /// backend modeled one: `chunk` is the distribution of kernel-op
     /// durations (one launch per chunk), `stream` the per-stream busy
     /// windows, `device` the per-device completion times. Backends with no
-    /// timeline (CPU substrates and the single-launch GPU backend) still
+    /// timeline (CPU substrates and multi-host runs) still
     /// report a `chunk` distribution — the whole batch as one chunk — so
     /// every backend's report carries p50/p90/p99 chunk latencies.
     pub fn run_report(&self) -> RunReport {

@@ -65,7 +65,8 @@ const MAX_CHUNK_TENSORS: usize = 256;
 /// Construct with [`ResilientBackend::from_spec`] (the CLI path) or
 /// [`ResilientBackend::new`], then layer on [`with_retries`] and
 /// [`with_failover`]. With an inactive [`FaultPlan`] this behaves exactly
-/// like the plain multi-GPU backend, modulo chunked launches.
+/// like the plain [`crate::GpuSimBackend`] over the same devices, modulo
+/// chunked launches.
 ///
 /// [`with_retries`]: ResilientBackend::with_retries
 /// [`with_failover`]: ResilientBackend::with_failover

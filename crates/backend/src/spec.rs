@@ -1,12 +1,10 @@
 //! Declarative backend selection: parse `cpu:8` / `gpusim:tesla-c2050:4`
 //! strings into [`BackendSpec`] values and build [`SolveBackend`] objects.
 
-use crate::backends::{
-    CpuParallel, CpuSequential, GpuSimBackend, MultiGpuBackend, PipelinedBackend, SolveBackend,
-};
-use crate::cluster::ClusterBackend;
+use crate::backends::{Cpu, SolveBackend};
+use crate::cluster::GpuSimBackend;
 use crate::strategy::KernelStrategy;
-use gpusim::{DeviceSpec, TransferModel};
+use gpusim::DeviceSpec;
 use symtensor::Scalar;
 
 /// Error from parsing a backend spec or kernel-strategy token.
@@ -128,15 +126,24 @@ pub(crate) fn device_slug(name: &str) -> String {
 /// | `cluster:4:2:3`        | same, 3 streams per device                |
 /// | `cluster:gtx-580:1:4`  | one host with 4 named devices             |
 ///
-/// `pipelined` takes the same `[:device][:count]` fields as `gpusim` but
-/// builds the stream-based [`PipelinedBackend`], which chunks the batch
-/// and overlaps PCIe transfers with kernels on each device's engines.
+/// `cpu` builds the [`Cpu`] backend. Every other spelling builds the one
+/// simulated-GPU backend, [`GpuSimBackend`], over a topology:
 ///
-/// `cluster` takes `[:device][:hosts[:devices[:streams]]]` and builds the
-/// sharded [`ClusterBackend`]: the batch is cut into one contiguous arena
-/// slice per host, each non-root shard pays a modeled NIC round trip, and
-/// each host runs its shard on its own devices (pipelined when
-/// `streams > 1`).
+/// | spelling                   | hosts | devices | streams | chunks | link      |
+/// |----------------------------|-------|---------|---------|--------|-----------|
+/// | `gpusim[:device]`          | 1     | 1       | 1       | none   | untimed   |
+/// | `gpusim[:device]:N`, N ≥ 2 | 1     | N       | 1       | none   | PCIe 2.0  |
+/// | `pipelined[:device][:N]`   | 1     | N       | 2       | 256    | PCIe 2.0  |
+/// | `cluster:…:h:d:1`          | h     | d       | 1       | none   | PCIe + NIC|
+/// | `cluster:…:h:d:s`, s ≥ 2   | h     | d       | s       | 256    | PCIe + NIC|
+///
+/// The one-device `gpusim` link is untimed so its modeled seconds are the
+/// kernel estimate alone (the paper's Table III convention). The batch is
+/// cut into one contiguous arena slice per host, each non-root shard pays
+/// a modeled NIC round trip, and each host splits its shard over its
+/// devices; with chunks, each device's share is dealt round-robin over
+/// its streams so uploads overlap kernels. `cluster:1:N` is therefore the
+/// same backend as `gpusim:N`, and `cluster:1:N:2` as `pipelined:N`.
 ///
 /// `Display` renders the canonical minimal form, so specs round-trip
 /// through parse → `Display` → parse at the value level.
@@ -279,43 +286,36 @@ impl BackendSpec {
     }
 
     /// Build the backend this spec describes, with the given kernel
-    /// strategy. Multi-device specs model host↔device transfers over
-    /// PCIe 2.0, as the paper's hardware used.
+    /// strategy: a [`Cpu`] backend, or the [`GpuSimBackend`] over the
+    /// topology in the type-level table.
     ///
-    /// Errors on degenerate hand-built specs (zero devices) — parsed
-    /// specs always build, since the grammar rejects a zero count.
+    /// Errors on degenerate hand-built specs (zero devices, hosts or
+    /// streams) — parsed specs always build, since the grammar rejects a
+    /// zero count.
     pub fn build<S: Scalar>(
         &self,
         strategy: KernelStrategy,
     ) -> Result<Box<dyn SolveBackend<S>>, BackendError> {
-        Ok(match *self {
-            BackendSpec::Cpu { threads: 1 } => Box::new(CpuSequential::new(strategy)),
-            BackendSpec::Cpu { threads } => Box::new(CpuParallel::new(threads, strategy)),
+        let (device, hosts, devices, streams, chunked) = match *self {
+            BackendSpec::Cpu { threads } => return Ok(Box::new(Cpu::new(threads, strategy))),
             BackendSpec::GpuSim { device, devices: 1 } => {
-                Box::new(GpuSimBackend::new(device.spec(), strategy))
+                return Ok(Box::new(GpuSimBackend::new(device.spec(), strategy)))
             }
-            BackendSpec::GpuSim { device, devices } => Box::new(MultiGpuBackend::homogeneous(
-                device.spec(),
-                devices,
-                TransferModel::pcie2(),
-                strategy,
-            )?),
-            BackendSpec::Pipelined { device, devices } => Box::new(PipelinedBackend::homogeneous(
-                device.spec(),
-                devices,
-                TransferModel::pcie2(),
-                strategy,
-            )?),
+            BackendSpec::GpuSim { device, devices } => (device, 1, devices, 1, false),
+            BackendSpec::Pipelined { device, devices } => (device, 1, devices, 2, true),
             BackendSpec::Cluster {
                 device,
                 hosts,
                 devices,
                 streams,
-            } => Box::new(
-                ClusterBackend::homogeneous(device.spec(), hosts, devices, strategy)?
-                    .with_streams(streams)?,
-            ),
-        })
+            } => (device, hosts, devices, streams, streams > 1),
+        };
+        let mut backend = GpuSimBackend::homogeneous(device.spec(), hosts, devices, strategy)?
+            .with_streams(streams)?;
+        if chunked {
+            backend = backend.with_chunk_tensors(GpuSimBackend::DEFAULT_CHUNK_TENSORS)?;
+        }
+        Ok(Box::new(backend))
     }
 
     /// True for the simulated-GPU variants (which only support fixed

@@ -1,17 +1,16 @@
-//! Cluster-parity acceptance (satellite): a single-host cluster is the
-//! multi-GPU backend wearing a topology — `cluster:1:N` must produce
-//! *byte-identical* eigenpairs, iteration counts and modeled time to
-//! `gpusim:N`, clean and faulted alike. The root shard pays no NIC
+//! Cluster-parity acceptance: `cluster:1:N` and `gpusim:N` are two
+//! spellings of one backend over one single-host topology, so they must
+//! produce *byte-identical* eigenpairs, iteration counts and modeled
+//! time, clean and faulted alike. The root shard pays no NIC
 //! traffic, so the communication model must also collapse to zero.
 //!
 //! The 10 000-tensor runs here are the PR's headline acceptance numbers;
 //! `ci` runs this suite under `--release`.
 
 use backend::{
-    BackendSpec, BatchReport, ClusterBackend, KernelStrategy, MultiGpuBackend, ResilientBackend,
-    SolveBackend,
+    BackendSpec, BatchReport, GpuSimBackend, KernelStrategy, ResilientBackend, SolveBackend,
 };
-use gpusim::{DeviceSpec, FaultPlan, TransferModel};
+use gpusim::{Cluster, DeviceSpec, FaultPlan, TransferModel};
 use rand::SeedableRng;
 use sshopm::{starts, IterationPolicy, Shift, SsHopm};
 use symtensor::TensorBatch;
@@ -56,20 +55,21 @@ fn assert_results_bitwise_equal(got: &BatchReport<f32>, want: &BatchReport<f32>)
 fn single_host_cluster_matches_multi_gpu_bitwise_on_10k_tensors() {
     let (tensors, starts, solver) = workload();
     for devices in [1usize, 2, 3] {
-        let cluster = ClusterBackend::homogeneous(
+        let cluster = GpuSimBackend::homogeneous(
             DeviceSpec::tesla_c2050(),
             1,
             devices,
             KernelStrategy::Unrolled,
         )
         .unwrap();
-        let multi = MultiGpuBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            devices,
-            TransferModel::pcie2(),
+        let multi = GpuSimBackend::on_cluster(
+            Cluster::single_host(
+                vec![DeviceSpec::tesla_c2050(); devices],
+                TransferModel::pcie2(),
+            )
+            .unwrap(),
             KernelStrategy::Unrolled,
-        )
-        .unwrap();
+        );
         let a = cluster
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
@@ -132,23 +132,17 @@ fn single_host_cluster_matches_multi_gpu_under_faults() {
 
 #[test]
 fn pipelined_single_host_cluster_matches_pipelined_backend_bitwise() {
-    // The stream>1 path routes through the same chunked double-buffered
-    // launcher as PipelinedBackend; results (not timelines) stay bitwise.
+    // `cluster:1:2:2` and `pipelined:2` build the same chunked
+    // double-buffered schedule; results (not timelines) stay bitwise.
     let (tensors, starts, solver) = workload();
-    let cluster =
-        ClusterBackend::homogeneous(DeviceSpec::tesla_c2050(), 1, 2, KernelStrategy::Unrolled)
-            .unwrap()
-            .with_streams(2)
-            .unwrap();
-    let piped = backend::PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        2,
-        TransferModel::pcie2(),
-        KernelStrategy::Unrolled,
-    )
-    .unwrap()
-    .with_streams(2)
-    .unwrap();
+    let cluster = BackendSpec::parse("cluster:1:2:2")
+        .unwrap()
+        .build(KernelStrategy::Unrolled)
+        .unwrap();
+    let piped = BackendSpec::parse("pipelined:2")
+        .unwrap()
+        .build(KernelStrategy::Unrolled)
+        .unwrap();
     let a = cluster
         .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
         .unwrap();

@@ -5,11 +5,8 @@
 //! without an active fault plan — while its event timeline shows real
 //! transfer/compute overlap.
 
-use backend::{
-    BackendSpec, GpuSimBackend, KernelStrategy, MultiGpuBackend, PipelinedBackend,
-    ResilientBackend, SolveBackend,
-};
-use gpusim::{DeviceSpec, FaultPlan, TransferModel};
+use backend::{BackendSpec, GpuSimBackend, KernelStrategy, ResilientBackend, SolveBackend};
+use gpusim::{DeviceSpec, FaultPlan};
 use rand::SeedableRng;
 use sshopm::{starts, Eigenpair, IterationPolicy, Shift, SsHopm};
 use symtensor::TensorBatch;
@@ -52,17 +49,12 @@ fn pipelined_10k_matches_synchronous_bitwise_and_overlaps() {
     let sync = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::General)
         .solve_batch(&tensors, &starts, &solver, &tel)
         .unwrap();
-    let piped = PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        1,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap()
-    .with_streams(2)
-    .unwrap()
-    .solve_batch(&tensors, &starts, &solver, &tel)
-    .unwrap();
+    let piped = BackendSpec::parse("pipelined")
+        .unwrap()
+        .build(KernelStrategy::General)
+        .unwrap()
+        .solve_batch(&tensors, &starts, &solver, &tel)
+        .unwrap();
 
     assert_bitwise_equal(&piped.results, &sync.results);
 
@@ -83,17 +75,13 @@ fn pipelined_10k_matches_synchronous_bitwise_and_overlaps() {
     // Perf claim against the apples-to-apples baseline: the same chunked
     // schedule executed on a single stream (no overlap, same per-chunk
     // launch overhead).
-    let serial = PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        1,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap()
-    .with_streams(1)
-    .unwrap()
-    .solve_batch(&tensors, &starts, &solver, &tel)
-    .unwrap();
+    let serial =
+        GpuSimBackend::homogeneous(DeviceSpec::tesla_c2050(), 1, 1, KernelStrategy::General)
+            .unwrap()
+            .with_chunk_tensors(GpuSimBackend::DEFAULT_CHUNK_TENSORS)
+            .unwrap()
+            .solve_batch(&tensors, &starts, &solver, &tel)
+            .unwrap();
     assert_bitwise_equal(&serial.results, &sync.results);
     assert!(
         piped.seconds < serial.seconds,
@@ -110,26 +98,18 @@ fn pipelined_multi_device_matches_multi_gpu_bitwise() {
     let (tensors, starts, solver) = workload(2_000, 42);
     let tel = Telemetry::disabled();
 
-    let multi = MultiGpuBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        2,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap()
-    .solve_batch(&tensors, &starts, &solver, &tel)
-    .unwrap();
-    let piped = PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        2,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap()
-    .with_streams(2)
-    .unwrap()
-    .solve_batch(&tensors, &starts, &solver, &tel)
-    .unwrap();
+    let multi = BackendSpec::parse("gpusim:2")
+        .unwrap()
+        .build(KernelStrategy::General)
+        .unwrap()
+        .solve_batch(&tensors, &starts, &solver, &tel)
+        .unwrap();
+    let piped = BackendSpec::parse("pipelined:2")
+        .unwrap()
+        .build(KernelStrategy::General)
+        .unwrap()
+        .solve_batch(&tensors, &starts, &solver, &tel)
+        .unwrap();
 
     assert_bitwise_equal(&piped.results, &multi.results);
 }

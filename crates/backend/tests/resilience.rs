@@ -5,8 +5,7 @@
 //! ledger must account for every injected fault.
 
 use backend::{
-    BackendSpec, CpuSequential, FaultLog, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    ResilientBackend, SolveBackend,
+    BackendSpec, Cpu, FaultLog, GpuSimBackend, KernelStrategy, ResilientBackend, SolveBackend,
 };
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use proptest::prelude::*;
@@ -34,7 +33,7 @@ fn cpu_reference(
     starts: &[Vec<f32>],
     solver: &SsHopm,
 ) -> Vec<Vec<Eigenpair<f32>>> {
-    CpuSequential::new(KernelStrategy::General)
+    Cpu::new(1, KernelStrategy::General)
         .solve_batch(tensors, starts, solver, &Telemetry::disabled())
         .unwrap()
         .results
@@ -322,19 +321,15 @@ fn empty_batches_and_device_lists_are_not_panics() {
         .unwrap();
     assert_eq!(report.num_tensors(), 0);
 
-    let multi = MultiGpuBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        2,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap();
+    let multi =
+        GpuSimBackend::homogeneous(DeviceSpec::tesla_c2050(), 1, 2, KernelStrategy::General)
+            .unwrap();
     let report = multi
         .solve_batch(&no_tensors, &starts, &solver, &telemetry)
         .unwrap();
     assert_eq!(report.num_tensors(), 0);
 
-    let err = MultiGpuBackend::new(Vec::new(), TransferModel::pcie2(), KernelStrategy::General)
+    let err = GpuSimBackend::homogeneous(DeviceSpec::tesla_c2050(), 1, 0, KernelStrategy::General)
         .unwrap_err();
     assert!(err.to_string().contains("at least one device"), "{err}");
     let err = ResilientBackend::new(

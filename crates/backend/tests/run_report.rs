@@ -2,10 +2,7 @@
 //! quantiles; summaries are derived from its renderers (golden-pinned
 //! here); stream-timeline observations land in the telemetry snapshot.
 
-use backend::{
-    CpuParallel, CpuSequential, FaultLog, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    PipelinedBackend, ResilientBackend, SolveBackend,
-};
+use backend::{Cpu, FaultLog, GpuSimBackend, KernelStrategy, ResilientBackend, SolveBackend};
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use rand::SeedableRng;
 use sshopm::{starts, IterationPolicy, Shift, SsHopm};
@@ -28,15 +25,14 @@ fn all_backends() -> Vec<Box<dyn SolveBackend<f32>>> {
     let strategy = KernelStrategy::General;
     let device = DeviceSpec::tesla_c2050();
     vec![
-        Box::new(CpuSequential::new(strategy)),
-        Box::new(CpuParallel::new(2, strategy)),
+        Box::new(Cpu::new(1, strategy)),
+        Box::new(Cpu::new(2, strategy)),
         Box::new(GpuSimBackend::new(device.clone(), strategy)),
+        Box::new(GpuSimBackend::homogeneous(device.clone(), 1, 2, strategy).unwrap()),
         Box::new(
-            MultiGpuBackend::homogeneous(device.clone(), 2, TransferModel::pcie2(), strategy)
-                .unwrap(),
-        ),
-        Box::new(
-            PipelinedBackend::homogeneous(device, 1, TransferModel::pcie2(), strategy)
+            GpuSimBackend::homogeneous(device, 1, 1, strategy)
+                .unwrap()
+                .with_streams(2)
                 .unwrap()
                 .with_chunk_tensors(2)
                 .unwrap(),
@@ -104,7 +100,7 @@ fn summaries_are_derived_from_run_report_renderers() {
     // delegation to RunReport::headline / FaultStats::summary_line.
     let (batch, starts, solver) = workload();
     let tel = Telemetry::disabled();
-    let report = CpuSequential::new(KernelStrategy::General)
+    let report = Cpu::new(1, KernelStrategy::General)
         .solve_batch(&batch, &starts, &solver, &tel)
         .unwrap();
     let expected = format!(
@@ -143,15 +139,13 @@ fn pipelined_observations_land_in_snapshot_and_sink() {
     let (batch, starts, solver) = workload();
     let sink = Arc::new(MemorySink::new());
     let tel = Telemetry::with_sink(Box::new(Arc::clone(&sink)));
-    let backend = PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        1,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap()
-    .with_chunk_tensors(2)
-    .unwrap();
+    let backend =
+        GpuSimBackend::homogeneous(DeviceSpec::tesla_c2050(), 1, 1, KernelStrategy::General)
+            .unwrap()
+            .with_streams(2)
+            .unwrap()
+            .with_chunk_tensors(2)
+            .unwrap();
     backend.solve_batch(&batch, &starts, &solver, &tel).unwrap();
 
     let snap = tel.snapshot();

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin cluster_scaling`
 
-use backend::{ClusterBackend, KernelStrategy, SolveBackend};
+use backend::{GpuSimBackend, KernelStrategy, SolveBackend};
 use bench::{bench_metadata, write_bench_json};
 use gpusim::DeviceSpec;
 use rand::rngs::StdRng;
@@ -41,7 +41,7 @@ struct Run {
 
 fn run(batch: &TensorBatch<f32>, start_vecs: &[Vec<f32>], hosts: usize) -> Run {
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(ITERS));
-    let backend = ClusterBackend::homogeneous(
+    let backend = GpuSimBackend::homogeneous(
         DeviceSpec::tesla_c2050(),
         hosts,
         DEVICES_PER_HOST,
@@ -49,7 +49,8 @@ fn run(batch: &TensorBatch<f32>, start_vecs: &[Vec<f32>], hosts: usize) -> Run {
     )
     .expect("host counts are nonzero")
     .with_streams(STREAMS)
-    .expect("streams");
+    .and_then(|b| b.with_chunk_tensors(GpuSimBackend::DEFAULT_CHUNK_TENSORS))
+    .expect("streams and chunk size are nonzero");
     let report = backend
         .solve_batch(batch, start_vecs, &solver, &Telemetry::disabled())
         .expect("bench workload is well-formed");

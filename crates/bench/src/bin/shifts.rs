@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin shifts`
 
-use backend::{CpuParallel, KernelStrategy, SolveBackend};
+use backend::{Cpu, KernelStrategy, SolveBackend};
 use bench::{bench_metadata, write_bench_json, Workload};
 use serde::Value;
 use sshopm::{IterationPolicy, Shift, SsHopm};
@@ -41,7 +41,7 @@ fn main() {
     let mut json_rows = Vec::new();
     // The adaptive/convex shifts are CPU-only, so the whole sweep runs on
     // the parallel CPU backend (all cores, general kernels).
-    let backend = CpuParallel::new(0, KernelStrategy::General);
+    let backend = Cpu::new(0, KernelStrategy::General);
     for (label, shift) in policies {
         let solver = SsHopm::new(shift).with_policy(IterationPolicy::Converge {
             tol: 1e-6,

@@ -327,10 +327,10 @@ mod tests {
 
     #[test]
     fn run_on_accepts_any_backend() {
-        use backend::CpuSequential;
+        use backend::Cpu;
         let w = Workload::random(3, 5, 4, 3, 4);
         let cpu = run_on(
-            &CpuSequential::new(KernelStrategy::General),
+            &Cpu::new(1, KernelStrategy::General),
             &w,
             bench_policy(),
             0.0,

@@ -5,8 +5,7 @@
 use crate::args::Args;
 use crate::CmdError;
 use backend::{
-    parse_fault_plan, BackendSpec, ClusterBackend, CpuParallel, GpuSimBackend, KernelStrategy,
-    MultiGpuBackend, PipelinedBackend, ResilientBackend, SolveBackend,
+    parse_fault_plan, BackendSpec, Cpu, DeviceKind, KernelStrategy, ResilientBackend, SolveBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,43 +65,24 @@ fn gpu_solver(solver: SolverSpec) -> Result<(), CmdError> {
 }
 
 /// Parse `--backend` (default `cpu`) and `--kernel` (default `general`)
-/// into a built [`SolveBackend`] plus its parsed spec. When any of
-/// `--faults SPEC`, `--retry N` or `--failover` is present the backend is
-/// wrapped in a [`ResilientBackend`] (gpusim specs only). `--pipeline`
-/// upgrades a `gpusim` spec to the stream-based [`PipelinedBackend`]
-/// (double-buffered chunks) and `--streams N` sets the streams per device
-/// for pipelined and resilient execution. `--kernel-cache-dir DIR` points
-/// the process-wide kernel registry at an on-disk artifact cache, so
-/// `--kernel tape` runs load previously generated tapes instead of
-/// regenerating them.
+/// into a built [`SolveBackend`] plus its parsed spec. The spec string is
+/// the only way to pick a topology — devices, hosts, streams and chunking
+/// all live in it (`gpusim:2`, `pipelined`, `cluster:1:2:3`, …). When any
+/// of `--faults SPEC`, `--retry N` or `--failover` is present the spec's
+/// devices are wrapped in a [`ResilientBackend`] (gpusim specs only), and
+/// `--streams N` sets that wrapper's streams per device; on a plain run
+/// `--streams` is an error pointing at the spec form.
+/// `--kernel-cache-dir DIR` points the process-wide kernel registry at an
+/// on-disk artifact cache, so `--kernel tape` runs load previously
+/// generated tapes instead of regenerating them.
 fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>), CmdError> {
-    let mut spec: BackendSpec = args.get("backend").unwrap_or("cpu").parse()?;
+    let spec: BackendSpec = args.get("backend").unwrap_or("cpu").parse()?;
     let strategy = match args.get("kernel") {
         None => KernelStrategy::General,
         Some(k) => KernelStrategy::parse(k)?,
     };
     if let Some(dir) = args.get("kernel-cache-dir") {
         backend::KernelRegistry::global().set_cache_dir(Some(std::path::PathBuf::from(dir)));
-    }
-    let streams: usize = args.get_parsed("streams", 2)?;
-    let chunk_tensors: Option<usize> = match args.get("chunk-tensors") {
-        Some(_) => Some(args.get_parsed("chunk-tensors", 1)?),
-        None => None,
-    };
-    if args.flag("pipeline") {
-        spec = match spec {
-            BackendSpec::GpuSim { device, devices } => BackendSpec::Pipelined { device, devices },
-            pipelined @ BackendSpec::Pipelined { .. } => pipelined,
-            // Cluster shards already pipeline when the spec's stream
-            // count (or --streams) exceeds 1.
-            cluster @ BackendSpec::Cluster { .. } => cluster,
-            BackendSpec::Cpu { .. } => {
-                return Err(CmdError(format!(
-                    "--pipeline requires a gpusim backend, got {spec}: CPU backends have no \
-                     streams to overlap"
-                )));
-            }
-        };
     }
     let resilient =
         args.get("faults").is_some() || args.get("retry").is_some() || args.flag("failover");
@@ -112,43 +92,28 @@ fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>
             ResilientBackend::from_spec(&spec, strategy, plan)?
                 .with_retries(args.get_parsed("retry", 2)?)
                 .with_failover(args.flag("failover"))
-                .with_streams(streams)?,
+                .with_streams(args.get_parsed("streams", 2)?)?,
         )
-    } else if let BackendSpec::Pipelined { device, devices } = spec {
-        let mut built = PipelinedBackend::homogeneous(
-            device.spec(),
-            devices,
-            gpusim::TransferModel::pcie2(),
-            strategy,
-        )?
-        .with_streams(streams)?;
-        if let Some(chunk) = chunk_tensors {
-            built = built.with_chunk_tensors(chunk)?;
-        }
-        Box::new(built)
-    } else if let BackendSpec::Cluster {
-        device,
-        hosts,
-        devices,
-        streams: spec_streams,
-    } = spec
-    {
-        // An explicit --streams overrides the spec's stream field.
-        let effective = if args.get("streams").is_some() {
-            streams
-        } else {
-            spec_streams
-        };
-        let mut built = ClusterBackend::homogeneous(device.spec(), hosts, devices, strategy)?
-            .with_streams(effective)?;
-        if let Some(chunk) = chunk_tensors {
-            built = built.with_chunk_tensors(chunk)?;
-        }
-        Box::new(built)
+    } else if args.get("streams").is_some() {
+        return Err(CmdError(
+            "--streams only applies to the fault-tolerant wrapper (--faults, --retry, \
+             --failover); a plain run takes its streams from the backend spec, e.g. \
+             --backend cluster:<dev>:1:<N>:<K> for N devices with K streams each"
+                .to_string(),
+        ));
     } else {
         spec.build::<f64>(strategy)?
     };
     Ok((spec, backend))
+}
+
+/// Specs whose schedule chunks the batch over several streams per
+/// device; their runs print the resolved event-timeline summary.
+fn is_streamed(spec: &BackendSpec) -> bool {
+    matches!(
+        spec,
+        BackendSpec::Pipelined { .. } | BackendSpec::Cluster { streams: 2.., .. }
+    )
 }
 
 /// Render a unified [`telemetry::RunReport`] in one of the supported
@@ -299,11 +264,10 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
             "faults",
             "retry",
             "streams",
-            "chunk-tensors",
             "report-out",
             "report-format",
         ],
-        &["refine", "all", "failover", "pipeline"],
+        &["refine", "all", "failover"],
     )?;
     let path = args.positional(0, "file")?;
     let starts_count: usize = args.get_parsed("starts", 32)?;
@@ -346,7 +310,7 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
     if !report.fault_log.injected.is_empty() || report.fault_log.degraded {
         summaries.push(report.fault_log.summary());
     }
-    if args.flag("pipeline") {
+    if is_streamed(&spec) {
         if let Some(timeline) = &report.timeline {
             summaries.push(timeline.summary());
         }
@@ -460,11 +424,10 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
             "faults",
             "retry",
             "streams",
-            "chunk-tensors",
             "report-out",
             "report-format",
         ],
-        &["failover", "pipeline"],
+        &["failover"],
     )?;
     let path = args.positional(0, "file")?;
     let tensors = load_batch(path)?;
@@ -590,7 +553,7 @@ fn inner_tract(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         num_starts: starts,
         ..Default::default()
     };
-    let backend = CpuParallel::new(0, KernelStrategy::General);
+    let backend = Cpu::new(0, KernelStrategy::General);
     let fibers = dwmri::extract_fibers_with(&tensors, &cfg, &backend, &Telemetry::disabled())?;
     let field = dwmri::FiberField::new(width, height, fibers);
 
@@ -663,12 +626,16 @@ fn inner_gpu(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> C
     let mut rng = StdRng::seed_from_u64(args.get_parsed("seed", 0)?);
     let starts = sshopm::starts::random_uniform_starts::<f32, _>(n, starts_count, &mut rng);
 
-    let backend = MultiGpuBackend::homogeneous(
-        gpusim::DeviceSpec::tesla_c2050(),
+    // One host of `devices` C2050s behind PCIe 2.0 — for every count,
+    // including one: this command reports transfer time, unlike the
+    // kernel-only `gpusim` spelling.
+    let backend = BackendSpec::Cluster {
+        device: DeviceKind::TeslaC2050,
+        hosts: 1,
         devices,
-        gpusim::TransferModel::pcie2(),
-        strategy,
-    )?;
+        streams: 1,
+    }
+    .build::<f32>(strategy)?;
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(iters));
     let _launch_span = telemetry.span("cli.gpu");
     let report = backend.solve_batch(&tensors, &starts, &solver, telemetry)?;
@@ -711,16 +678,16 @@ fn inner_gpu(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> C
 }
 
 /// `profile [file] [--tensors T] [--m M] [--n N] [--starts N]
-/// [--variant V] [--iters I] [--device D] [--seed S] [--pipeline]
-/// [--streams K]`
+/// [--variant V] [--iters I] [--backend B] [--seed S]`
 ///
-/// Runs one simulated kernel launch through a [`GpuSimBackend`] and dumps
-/// the full profile snapshot — counter breakdown, occupancy, divergence
-/// and coalescing statistics, timing components — as pretty JSON. Without
-/// a tensor file it profiles a synthetic random workload. With
-/// `--pipeline` the launch runs through the stream-based
-/// [`PipelinedBackend`] instead and the resolved event-timeline summary
-/// (makespan vs serial, overlap saved) is appended after the JSON.
+/// Runs one batched solve on a simulated-GPU `--backend` spec (default
+/// `gpusim`, one Tesla C2050) and dumps the first device's full profile
+/// snapshot — counter breakdown, occupancy, divergence and coalescing
+/// statistics, timing components — as pretty JSON. Without a tensor file
+/// it profiles a synthetic random workload. For a streamed spec
+/// (`pipelined`, `cluster` with ≥ 2 streams) the resolved event-timeline
+/// summary (makespan vs serial, overlap saved) is appended after the
+/// JSON.
 pub fn profile(
     argv: Vec<String>,
     out: &mut dyn Write,
@@ -733,9 +700,9 @@ fn inner_profile(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) 
     let args = Args::parse(
         argv,
         &[
-            "tensors", "m", "n", "starts", "variant", "iters", "device", "seed", "streams",
+            "tensors", "m", "n", "starts", "variant", "iters", "backend", "seed",
         ],
-        &["pipeline"],
+        &[],
     )?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -758,40 +725,36 @@ fn inner_profile(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) 
     };
     let n = tensors.dim();
     let strategy = parse_variant(args.get("variant"))?;
-    let device = match args.get("device") {
-        None | Some("c2050") => gpusim::DeviceSpec::tesla_c2050(),
-        Some("c1060") => gpusim::DeviceSpec::tesla_c1060(),
-        Some("gtx580") => gpusim::DeviceSpec::gtx_580(),
-        Some(v) => return Err(CmdError(format!("invalid --device {v:?}"))),
-    };
+    let spec: BackendSpec = args.get("backend").unwrap_or("gpusim").parse()?;
+    if !spec.is_gpu() {
+        return Err(CmdError(format!(
+            "profile needs a simulated-GPU backend, got {spec}: cpu runs have no device \
+             profile"
+        )));
+    }
     let starts_count: usize = args.get_parsed("starts", 128)?;
     let iters: usize = args.get_parsed("iters", 20)?;
     let starts = sshopm::starts::random_uniform_starts::<f32, _>(n, starts_count, &mut rng);
 
-    let backend: Box<dyn SolveBackend<f32>> = if args.flag("pipeline") {
-        Box::new(
-            PipelinedBackend::homogeneous(device, 1, gpusim::TransferModel::pcie2(), strategy)?
-                .with_streams(args.get_parsed("streams", 2)?)?,
-        )
-    } else {
-        Box::new(GpuSimBackend::new(device, strategy))
-    };
+    let backend = spec.build::<f32>(strategy)?;
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(iters));
     let _span = telemetry.span("cli.profile");
     let report = backend.solve_batch(&tensors, &starts, &solver, telemetry)?;
     writeln!(out, "{}", report.profiles[0].snapshot.to_json_pretty())?;
-    // Only pipelined launches have a resolved event timeline; the plain
-    // profile output stays pure JSON.
-    if let Some(timeline) = &report.timeline {
-        writeln!(out, "{}", timeline.summary())?;
+    // Only streamed schedules have overlap to report; the plain profile
+    // output stays pure JSON.
+    if is_streamed(&spec) {
+        if let Some(timeline) = &report.timeline {
+            writeln!(out, "{}", timeline.summary())?;
+        }
     }
     Ok(())
 }
 
 /// `report [file] [--tensors T] [--m M] [--n N] [--starts N] [--iters I]
 /// [--seed S] [--shift F] [--backend B] [--kernel K] [--faults SPEC]
-/// [--retry N] [--failover] [--pipeline] [--streams K]
-/// [--format text|json|prom] [--out PATH]`
+/// [--retry N] [--failover] [--streams K] [--format text|json|prom]
+/// [--out PATH]`
 ///
 /// Runs one batched solve through any execution backend and emits the
 /// unified, schema-versioned [`telemetry::RunReport`]: throughput and
@@ -832,11 +795,10 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
             "faults",
             "retry",
             "streams",
-            "chunk-tensors",
             "format",
             "out",
         ],
-        &["failover", "pipeline"],
+        &["failover"],
     )?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -1206,8 +1168,8 @@ mod tests {
                 &path,
                 "--variant",
                 "general",
-                "--device",
-                "gtx580",
+                "--backend",
+                "gpusim:gtx580",
                 "--starts",
                 "4",
                 "--iters",
@@ -1474,6 +1436,8 @@ mod tests {
 
     #[test]
     fn solve_pipeline_flag_prints_timeline_summary() {
+        // The `pipelined` spec prints the resolved event-timeline summary;
+        // there is no `--pipeline` flag.
         let path = tmp("solvepipe.txt");
         let mut out = Vec::new();
         random(
@@ -1481,32 +1445,6 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        let mut out = Vec::new();
-        solve(
-            sv(&[
-                &path,
-                "--starts",
-                "8",
-                "--backend",
-                "gpusim",
-                "--shift",
-                "0",
-                "--pipeline",
-                "--streams",
-                "2",
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(
-            text.contains("backend pipelined:gpusim:tesla-c2050:1x2"),
-            "{text}"
-        );
-        assert!(text.contains("timeline:"), "{text}");
-        assert!(text.contains("makespan"), "{text}");
-        // The explicit spec form routes the same way without the flag,
-        // but the timeline summary stays opt-in via --pipeline.
         let mut out = Vec::new();
         solve(
             sv(&[
@@ -1522,12 +1460,33 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("backend pipelined:gpusim"), "{text}");
+        assert!(
+            text.contains("backend pipelined:gpusim:tesla-c2050:1x2"),
+            "{text}"
+        );
+        assert!(text.contains("timeline:"), "{text}");
+        assert!(text.contains("makespan"), "{text}");
+        // Unstreamed spellings keep their one-line summary.
+        let mut out = Vec::new();
+        solve(
+            sv(&[
+                &path,
+                "--starts",
+                "8",
+                "--backend",
+                "gpusim",
+                "--shift",
+                "0",
+            ]),
+            &mut out,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
         assert!(!text.contains("timeline:"), "{text}");
-        // --pipeline on a CPU backend is a clean error.
+        // The removed flag is an unknown option.
         let mut out = Vec::new();
         let err = solve(sv(&[&path, "--pipeline"]), &mut out).unwrap_err();
-        assert!(err.contains("--pipeline requires"), "{err}");
+        assert!(err.contains("unknown option --pipeline"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1540,6 +1499,8 @@ mod tests {
             &mut out,
         )
         .unwrap();
+        // `cluster:1:2` is the same backend as `gpusim:2` and answers to
+        // the same label.
         let mut out = Vec::new();
         solve(
             sv(&[
@@ -1555,12 +1516,31 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("backend gpusim:tesla-c2050:2"), "{text}");
+        // A streamed single-host cluster prints its host's timeline, like
+        // its `pipelined:2` alias.
+        let mut out = Vec::new();
+        solve(
+            sv(&[
+                &path,
+                "--starts",
+                "8",
+                "--backend",
+                "cluster:1:2:2",
+                "--shift",
+                "0",
+            ]),
+            &mut out,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
         assert!(
-            text.contains("backend cluster:gpusim:tesla-c2050:1x2x1"),
+            text.contains("backend pipelined:gpusim:tesla-c2050:2x2"),
             "{text}"
         );
-        // --streams 0 and --chunk-tensors 0 are typed errors naming the
-        // flag, for cluster and pipelined backends alike.
+        assert!(text.contains("timeline:"), "{text}");
+        // A plain run takes its streams from the spec: --streams points
+        // there, and --chunk-tensors no longer exists.
         let mut out = Vec::new();
         let err = solve(
             sv(&[
@@ -1570,12 +1550,12 @@ mod tests {
                 "--shift",
                 "0",
                 "--streams",
-                "0",
+                "3",
             ]),
             &mut out,
         )
         .unwrap_err();
-        assert!(err.contains("--streams 0"), "{err}");
+        assert!(err.contains("cluster:<dev>:1:<N>:<K>"), "{err}");
         let mut out = Vec::new();
         let err = solve(
             sv(&[
@@ -1585,12 +1565,21 @@ mod tests {
                 "--shift",
                 "0",
                 "--chunk-tensors",
-                "0",
+                "64",
             ]),
             &mut out,
         )
         .unwrap_err();
-        assert!(err.contains("--chunk-tensors 0"), "{err}");
+        assert!(err.contains("unknown option --chunk-tensors"), "{err}");
+        // Zero streams is rejected by the spec grammar, and by the
+        // fault-tolerant wrapper's --streams.
+        let mut out = Vec::new();
+        let err = solve(
+            sv(&[&path, "--backend", "cluster:1:2:0", "--shift", "0"]),
+            &mut out,
+        )
+        .unwrap_err();
+        assert!(err.contains("at least one stream per device"), "{err}");
         let mut out = Vec::new();
         let err = solve(
             sv(&[
@@ -1599,7 +1588,8 @@ mod tests {
                 "gpusim",
                 "--shift",
                 "0",
-                "--pipeline",
+                "--retry",
+                "1",
                 "--streams",
                 "0",
             ]),
@@ -1621,9 +1611,8 @@ mod tests {
                 "8",
                 "--iters",
                 "3",
-                "--pipeline",
-                "--streams",
-                "2",
+                "--backend",
+                "pipelined",
             ]),
             &mut out,
             &Telemetry::disabled(),
@@ -1635,6 +1624,16 @@ mod tests {
         assert!(serde::Value::parse_json(json).is_ok(), "{json}");
         assert!(rest.contains("makespan"), "{rest}");
         assert!(rest.contains("overlap saves"), "{rest}");
+        // The removed flags are unknown options, and a cpu spec has no
+        // device to profile.
+        for removed in ["--pipeline", "--device"] {
+            let mut out = Vec::new();
+            let err = profile(sv(&[removed]), &mut out, &Telemetry::disabled()).unwrap_err();
+            assert!(err.contains("unknown option"), "{err}");
+        }
+        let mut out = Vec::new();
+        let err = profile(sv(&["--backend", "cpu"]), &mut out, &Telemetry::disabled()).unwrap_err();
+        assert!(err.contains("simulated-GPU backend"), "{err}");
     }
 
     #[test]
@@ -1734,8 +1733,7 @@ mod tests {
                 "--iters",
                 "2",
                 "--backend",
-                "gpusim",
-                "--pipeline",
+                "pipelined",
                 "--format",
                 "json",
             ]),

@@ -13,7 +13,8 @@
 //!   [--max-fibers K]` — fiber directions;
 //! * `gpu <file> [--starts N] [--variant general|unrolled] [--devices K]
 //!   [--iters I]` — batched solve on the simulated GPU;
-//! * `profile [file]` — run one simulated GPU launch and dump the full
+//! * `profile [file] [--backend B]` — run one simulated-GPU solve
+//!   (default `gpusim`) and dump the first device's full
 //!   [`gpusim::ProfileSnapshot`] as pretty JSON;
 //! * `report [file] [--format text|json|prom] [--out PATH]` — run one
 //!   batched solve (synthetic workload without a file) and emit the
@@ -26,11 +27,15 @@
 //!   the kernel registry's on-disk artifact cache of generated tapes.
 //!
 //! `--backend` takes a [`backend::BackendSpec`] string — `cpu` (default,
-//! sequential), `cpu:8` / `cpu:all` (rayon pool), `gpusim` (one simulated
-//! Tesla C2050), `gpusim:gtx-580`, `gpusim:tesla-c2050:4` (multi-GPU), or
-//! `pipelined[:device][:count]` (stream-based double buffering; also
-//! reachable via `--pipeline` on a gpusim spec, with `--streams K`
-//! streams per device) — and `--kernel` a [`backend::KernelStrategy`]
+//! sequential), `cpu:8` / `cpu:all` (rayon pool), or one of the spellings
+//! of the single simulated-GPU backend: `gpusim` (one Tesla C2050, kernel
+//! time only), `gpusim:gtx-580`, `gpusim:tesla-c2050:4` (one host, PCIe),
+//! `pipelined[:device][:count]` (double-buffered chunks over two streams
+//! per device) or `cluster[:device][:hosts[:devices[:streams]]]` (hosts
+//! joined by modeled NICs). The spec is the only topology setting;
+//! `--streams K` applies only to the fault-tolerant wrapper that
+//! `--faults`/`--retry`/`--failover` select — and `--kernel` a
+//! [`backend::KernelStrategy`]
 //! (`general|blocked|precomputed|unrolled|batched|tape`, with automatic
 //! shape fallback; `batched` runs fixed-shift SS-HOPM batches in lockstep
 //! panels over the tensor arena; `tape` replays runtime-generated kernel
@@ -188,13 +193,13 @@ pub fn usage() -> String {
      commands:\n\
      \x20 random <m> <n> <count> --out FILE [--seed S]\n\
      \x20 info <file>\n\
-     \x20 solve <file> [--backend B] [--kernel K] [--solver V] [--starts N] [--shift convex|concave|adaptive|FLOAT] [--tol T] [--seed S] [--refine] [--all] [--pipeline] [--streams K]\n\
+     \x20 solve <file> [--backend B] [--kernel K] [--solver V] [--starts N] [--shift convex|concave|adaptive|FLOAT] [--tol T] [--seed S] [--refine] [--all] [--faults SPEC] [--retry N] [--failover] [--streams K]\n\
      \x20 phantom --out FILE [--width W] [--height H] [--noise X] [--seed S]\n\
-     \x20 fibers <file> [--backend B] [--kernel K] [--solver V] [--shift ...] [--starts N] [--max-fibers K] [--pipeline] [--streams K]\n\
+     \x20 fibers <file> [--backend B] [--kernel K] [--solver V] [--shift ...] [--starts N] [--max-fibers K] [--faults SPEC] [--retry N] [--failover] [--streams K]\n\
      \x20 decompose <file> [--terms K] [--starts N] [--tol T]\n\
      \x20 tract <file> --width W [--height H] [--starts N] [--seeds K]\n\
      \x20 gpu <file> [--starts N] [--variant general|unrolled] [--devices K] [--iters I] [--seed S]\n\
-     \x20 profile [file] [--tensors T] [--m M] [--n N] [--starts N] [--variant general|unrolled] [--iters I] [--device c1060|c2050|gtx580] [--seed S] [--pipeline] [--streams K]\n\
+     \x20 profile [file] [--tensors T] [--m M] [--n N] [--starts N] [--variant general|unrolled] [--iters I] [--backend B] [--seed S]\n\
      \x20 report [file] [--tensors T] [--m M] [--n N] [--starts N] [--iters I] [--backend B] [--kernel K] [--solver V] [--format text|json|prom] [--out PATH] [--seed S]\n\
      \x20 cache <stats|clear> [--kernel-cache-dir DIR]\n\
      \x20 help\n\
@@ -207,13 +212,18 @@ pub fn usage() -> String {
      \x20 --seed S seeds the deterministic RNG (default 0) wherever random\n\
      \x20 tensors or random starting vectors are drawn.\n\
      \x20 --backend B picks where batched solves run: cpu (default), cpu:K,\n\
-     \x20 cpu:all, gpusim, gpusim:<device>[:count] with devices tesla-c2050,\n\
-     \x20 tesla-c1060, gtx-580, or pipelined[:device][:count] for stream-based\n\
-     \x20 double-buffered execution. gpusim backends need a fixed numeric\n\
-     \x20 --shift.\n\
-     \x20 --pipeline upgrades a gpusim backend to pipelined (chunked launches\n\
-     \x20 whose transfers overlap compute); --streams K sets the streams per\n\
-     \x20 device (default 2) and prints the resolved event-timeline summary.\n\
+     \x20 cpu:all, or one simulated-GPU topology: gpusim (one device, kernel\n\
+     \x20 time only), gpusim:<device>[:count] with devices tesla-c2050,\n\
+     \x20 tesla-c1060, gtx-580 (PCIe-timed for count >= 2),\n\
+     \x20 pipelined[:device][:count] (256-tensor chunks double-buffered over\n\
+     \x20 2 streams per device), or cluster[:device][:hosts[:devices[:streams]]]\n\
+     \x20 (hosts joined by modeled NICs; streams >= 2 chunk like pipelined).\n\
+     \x20 Streamed specs print the resolved event-timeline summary. gpusim\n\
+     \x20 backends need a fixed numeric --shift (default 0).\n\
+     \x20 --faults SPEC, --retry N and --failover wrap the spec's devices in\n\
+     \x20 the fault-tolerant backend; --streams K sets its streams per device\n\
+     \x20 (default 2). A plain run takes streams from the spec instead, e.g.\n\
+     \x20 cluster:<dev>:1:<N>:<K>.\n\
      \x20 --kernel K picks how contractions are computed: general, blocked,\n\
      \x20 precomputed, unrolled (auto-fallback for unavailable shapes),\n\
      \x20 batched (lane-vectorized over the tensor arena; fixed-shift sshopm\n\
@@ -387,7 +397,8 @@ mod tests {
             "qrst",
             "gpusim:<device>[:count]",
             "pipelined[:device][:count]",
-            "--pipeline",
+            "cluster[:device][:hosts[:devices[:streams]]]",
+            "cluster:<dev>:1:<N>:<K>",
             "--streams K",
             "profile",
             "report [file]",

@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn batched_extraction_matches_per_tensor_path() {
-        use backend::{CpuParallel, KernelStrategy};
+        use backend::{Cpu, KernelStrategy};
 
         let configs = [
             FiberConfig::single([0.0, 0.6, 0.8]),
@@ -314,7 +314,7 @@ mod tests {
         let batched = extract_fibers_with(
             &tensors,
             &cfg,
-            &CpuParallel::new(2, KernelStrategy::General),
+            &Cpu::new(2, KernelStrategy::General),
             &Telemetry::disabled(),
         )
         .unwrap();
@@ -336,7 +336,7 @@ mod tests {
         // shift) must be bitwise-indistinguishable from the scalar
         // per-tensor path on real fitted DW-MRI tensors — here a sweep of
         // two-fiber crossing voxels across the hard low-angle range.
-        use backend::{CpuSequential, KernelStrategy};
+        use backend::{Cpu, KernelStrategy};
         use sshopm::SsHopm;
         use telemetry::Telemetry;
 
@@ -349,10 +349,10 @@ mod tests {
             tol: 1e-12,
             max_iters: 2000,
         });
-        let scalar = CpuSequential::new(KernelStrategy::Precomputed)
+        let scalar = Cpu::new(1, KernelStrategy::Precomputed)
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
-        let lockstep = CpuSequential::new(KernelStrategy::Batched)
+        let lockstep = Cpu::new(1, KernelStrategy::Batched)
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
         assert_eq!(lockstep.kernel, "batched");
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn batched_extraction_records_telemetry() {
-        use backend::{CpuSequential, KernelStrategy};
+        use backend::{Cpu, KernelStrategy};
         use telemetry::Telemetry;
 
         let tensors =
@@ -383,7 +383,7 @@ mod tests {
         let fibers = extract_fibers_with(
             &tensors,
             &ExtractConfig::default(),
-            &CpuSequential::new(KernelStrategy::General),
+            &Cpu::new(1, KernelStrategy::General),
             &telemetry,
         )
         .unwrap();

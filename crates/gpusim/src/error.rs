@@ -7,8 +7,6 @@
 /// A reason a simulated launch (or device-set construction) cannot proceed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GpuError {
-    /// A multi-GPU set was built with no devices.
-    EmptyDeviceList,
     /// A cluster host was built with no devices.
     EmptyHost,
     /// A cluster was built with no hosts.
@@ -53,7 +51,6 @@ pub enum GpuError {
 impl std::fmt::Display for GpuError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GpuError::EmptyDeviceList => write!(f, "need at least one device"),
             GpuError::EmptyHost => write!(f, "need at least one device per host"),
             GpuError::EmptyCluster => write!(f, "need at least one host in the cluster"),
             GpuError::EmptyBatch => write!(f, "need at least one tensor to launch"),

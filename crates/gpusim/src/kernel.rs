@@ -178,7 +178,7 @@ pub struct LaunchReport {
 /// enqueues the launch's three ops (upload, kernel, download) on a default
 /// stream of a fresh single-device [`StreamQueue`] via [`enqueue_sshopm`]
 /// and immediately synchronizes. Callers that want transfer/compute
-/// overlap enqueue on their own queue instead (see [`crate::MultiGpu`]).
+/// overlap enqueue on their own queue instead (see [`crate::Cluster::launch`]).
 ///
 /// Takes the batch as a borrowed [`TensorBatchRef`] (or anything that
 /// converts into one, e.g. `&TensorBatch`): same-shape is guaranteed by

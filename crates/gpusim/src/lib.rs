@@ -27,10 +27,14 @@
 //!    hardware.
 //! 4. **Cluster topology** ([`topology`]): an explicit `Cluster` → `Host`
 //!    → device tree, each link (NIC and PCIe) with its own
-//!    bandwidth/latency model. Sharded launches cut the packed arena into
-//!    one contiguous slice per host, charge one modeled NIC transfer per
-//!    non-root shard against the Al Daas et al. communication lower
-//!    bound, and run each shard on the host's own stream queues.
+//!    bandwidth/latency model. One device, N devices, streamed chunks and
+//!    N hosts are all values of this one topology, and
+//!    [`Cluster::launch`] is the one launch path over it: it cuts the
+//!    packed arena into one contiguous slice per host, charges one modeled
+//!    NIC transfer per non-root shard against the Al Daas et al.
+//!    communication lower bound, and runs each shard on the host's own
+//!    stream queue. [`launch_sshopm`] / [`enqueue_sshopm`] remain the
+//!    single-device primitives underneath it.
 //!
 //! The model is deliberately simple and fully documented; it is calibrated
 //! so the *shape* of the paper's results (GPU ≫ CPU, unrolled ≫ general,
@@ -62,9 +66,9 @@ pub use fault::{
     WATCHDOG_TIMEOUT_SECONDS,
 };
 pub use kernel::{enqueue_sshopm, launch_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
-pub use multi::{problem_traffic_bytes, HostTransfer, MultiGpu, MultiReport, TransferModel};
+pub use multi::{problem_traffic_bytes, HostTransfer, TransferModel};
 pub use occupancy::{KernelResources, Occupancy};
 pub use profile::{CounterBreakdown, ProfileSnapshot};
 pub use stream::{Engine, EventId, Op, OpId, StreamId, StreamQueue, TimedOp, Timeline};
 pub use timing::TimingEstimate;
-pub use topology::{Cluster, ClusterReport, Host, HostShard};
+pub use topology::{Cluster, ClusterReport, DeviceSlice, Host, HostShard, MultiReport};

@@ -1,19 +1,14 @@
-//! Multi-GPU launches and host↔device transfer accounting.
+//! Link models and host↔device transfer accounting.
 //!
 //! Section V-B of the paper: "for larger numbers of tensors, this approach
 //! generalizes to a system with multiple GPUs" — the tensors are
 //! independent, so the batch splits across devices with no communication.
-//! This module implements that split (work divided proportionally to each
-//! device's peak throughput) plus the piece the paper's timings exclude:
-//! moving the tensors to the device and the eigenpairs back over PCIe.
+//! The split itself lives with the rest of the topology
+//! ([`crate::topology::Cluster::launch`]); this module models the piece the
+//! paper's timings exclude: moving the tensors to the device and the
+//! eigenpairs back over a link (PCIe inside a host, a NIC between hosts).
 
-use crate::device::DeviceSpec;
-use crate::error::GpuError;
-use crate::kernel::{enqueue_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
-use crate::stream::{StreamQueue, Timeline};
-use sshopm::IterationPolicy;
 use symtensor::multinomial::num_unique_entries;
-use symtensor::{Scalar, TensorBatchRef};
 
 /// Host↔device interconnect model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +36,17 @@ impl TransferModel {
         Self {
             bandwidth_gbs: 4.0,
             latency_s: 2e-6,
+        }
+    }
+
+    /// A zero-cost link: no latency, infinite bandwidth. A host behind it
+    /// charges no transfer time, which is the paper's Table III convention
+    /// (kernel time only) expressed as topology data — the stream makespan
+    /// of one launch is then exactly its kernel estimate.
+    pub fn untimed() -> Self {
+        Self {
+            bandwidth_gbs: f64::INFINITY,
+            latency_s: 0.0,
         }
     }
 
@@ -92,298 +98,21 @@ pub fn problem_traffic_bytes(
     (down, up)
 }
 
-/// Per-device slice of a multi-GPU launch.
-#[derive(Debug, Clone)]
-pub struct DeviceSlice {
-    /// Index into the device list.
-    pub device_index: usize,
-    /// Tensors assigned to this device.
-    pub num_tensors: usize,
-    /// The device's own launch report.
-    pub report: LaunchReport,
-    /// Host→device + device→host transfer time for this slice.
-    pub transfer_seconds: f64,
-    /// Kernel + transfer time for this slice.
-    pub total_seconds: f64,
-}
-
-/// Aggregate result of a multi-GPU launch.
-#[derive(Debug, Clone)]
-pub struct MultiReport {
-    /// One entry per device that received work.
-    pub slices: Vec<DeviceSlice>,
-    /// Wall-clock estimate: the event timeline's makespan (devices run
-    /// concurrently; streams overlap transfers with compute).
-    pub seconds: f64,
-    /// Total useful flops across devices.
-    pub useful_flops: u64,
-    /// Aggregate achieved GFLOP/s (flops / wall-clock).
-    pub gflops: f64,
-    /// The resolved event timeline behind `seconds`: every transfer and
-    /// kernel op with its modeled start/end.
-    pub timeline: Timeline,
-}
-
-/// A set of devices sharing one host.
-#[derive(Debug, Clone)]
-pub struct MultiGpu {
-    devices: Vec<DeviceSpec>,
-    transfer: TransferModel,
-}
-
-impl MultiGpu {
-    /// A multi-GPU host. Devices may be heterogeneous.
-    ///
-    /// # Errors
-    /// Returns [`GpuError::EmptyDeviceList`] if the device list is empty —
-    /// a malformed spec must surface as an error, not abort the process.
-    pub fn new(devices: Vec<DeviceSpec>, transfer: TransferModel) -> Result<Self, GpuError> {
-        if devices.is_empty() {
-            return Err(GpuError::EmptyDeviceList);
-        }
-        Ok(Self { devices, transfer })
-    }
-
-    /// `count` identical devices.
-    ///
-    /// # Errors
-    /// Returns [`GpuError::EmptyDeviceList`] if `count` is zero.
-    pub fn homogeneous(
-        device: DeviceSpec,
-        count: usize,
-        transfer: TransferModel,
-    ) -> Result<Self, GpuError> {
-        Self::new(vec![device; count], transfer)
-    }
-
-    /// The device set of one cluster [`Host`](crate::topology::Host),
-    /// timed against that host's own PCIe link.
-    ///
-    /// # Errors
-    /// Returns [`GpuError::EmptyDeviceList`] if the host has no devices
-    /// (unreachable for hosts built through `topology`'s constructors,
-    /// which reject empty device lists up front).
-    pub fn for_host(host: &crate::topology::Host) -> Result<Self, GpuError> {
-        Self::new(host.devices.clone(), host.pcie)
-    }
-
-    /// The devices.
-    pub fn devices(&self) -> &[DeviceSpec] {
-        &self.devices
-    }
-
-    /// Split `total` tensors across devices proportionally to peak
-    /// throughput (every device gets at least one while tensors remain).
-    pub fn split(&self, total: usize) -> Vec<usize> {
-        let peaks: Vec<f64> = self.devices.iter().map(|d| d.peak_sp_gflops()).collect();
-        let sum: f64 = peaks.iter().sum();
-        let mut counts: Vec<usize> = peaks
-            .iter()
-            .map(|p| ((p / sum) * total as f64).floor() as usize)
-            .collect();
-        // Distribute the remainder to the fastest devices first.
-        let mut assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..self.devices.len()).collect();
-        order.sort_by(|&a, &b| peaks[b].total_cmp(&peaks[a]));
-        let mut i = 0;
-        while assigned < total {
-            counts[order[i % order.len()]] += 1;
-            assigned += 1;
-            i += 1;
-        }
-        counts
-    }
-
-    /// Launch the batched SS-HOPM problem across all devices.
-    ///
-    /// Each device's slice goes through one stream (upload → kernel →
-    /// download, in order), so the wall-clock is the slowest device's
-    /// kernel-plus-transfer chain — devices run concurrently, and
-    /// transfers to distinct devices use distinct PCIe lanes, as on real
-    /// multi-GPU boards. Results come back in the original tensor order.
-    ///
-    /// # Errors
-    /// Returns a [`GpuError`] for an empty batch or any per-device launch
-    /// failure (empty starts, mixed shapes, missing unrolled kernel).
-    pub fn launch<'a, S: Scalar>(
-        &self,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
-    ) -> Result<(GpuBatchResult<S>, MultiReport), GpuError> {
-        self.launch_streamed(batch.into(), starts, policy, alpha, variant, None, 1)
-    }
-
-    /// Launch with double-buffered chunking: each device's slice is cut
-    /// into `chunk_tensors`-sized pieces dealt round-robin across
-    /// `streams_per_device` streams, so chunk `k+1`'s upload overlaps
-    /// chunk `k`'s kernel (and downloads interleave on the copy engine).
-    /// With one stream per device this degenerates to
-    /// [`launch`](MultiGpu::launch) plus per-chunk launch overhead.
-    ///
-    /// Results are bitwise identical to the synchronous path — chunking
-    /// changes the clock, never the arithmetic.
-    ///
-    /// # Errors
-    /// Same contract as [`launch`](MultiGpu::launch).
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_pipelined<'a, S: Scalar>(
-        &self,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
-        chunk_tensors: usize,
-        streams_per_device: usize,
-    ) -> Result<(GpuBatchResult<S>, MultiReport), GpuError> {
-        self.launch_streamed(
-            batch.into(),
-            starts,
-            policy,
-            alpha,
-            variant,
-            Some(chunk_tensors.max(1)),
-            streams_per_device.max(1),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn launch_streamed<S: Scalar>(
-        &self,
-        batch: TensorBatchRef<'_, S>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
-        chunk_tensors: Option<usize>,
-        streams_per_device: usize,
-    ) -> Result<(GpuBatchResult<S>, MultiReport), GpuError> {
-        if batch.is_empty() {
-            return Err(GpuError::EmptyBatch);
-        }
-        let counts = self.split(batch.len());
-        let mut queue = StreamQueue::new(self.devices.len(), self.transfer);
-
-        let mut results = Vec::with_capacity(batch.len());
-        // (device_index, tensors, merged report) per device with work;
-        // transfer/total seconds are read off the timeline afterwards.
-        let mut merged: Vec<(usize, usize, LaunchReport)> = Vec::new();
-        let mut offset = 0usize;
-        let mut useful_flops = 0u64;
-
-        for (device_index, (&count, device)) in counts.iter().zip(&self.devices).enumerate() {
-            if count == 0 {
-                continue;
-            }
-            // Zero-copy arena slice: the device's share is a contiguous
-            // sub-range of the same buffer; each chunk of it ships in one
-            // DMA from the same memory.
-            let slice = batch.slice(offset..offset + count);
-            offset += count;
-            let streams: Vec<_> = (0..streams_per_device)
-                .map(|_| queue.stream(device_index))
-                .collect();
-            let chunk_size = chunk_tensors.unwrap_or(count);
-            let mut device_report: Option<LaunchReport> = None;
-            let mut lo = 0usize;
-            let mut chunk_index = 0usize;
-            while lo < count {
-                let hi = (lo + chunk_size).min(count);
-                let (res, report) = enqueue_sshopm(
-                    &mut queue,
-                    streams[chunk_index % streams.len()],
-                    device,
-                    slice.slice(lo..hi),
-                    starts,
-                    policy,
-                    alpha,
-                    variant,
-                )?;
-                results.extend(res.results);
-                useful_flops += report.useful_flops;
-                device_report = Some(match device_report {
-                    None => report,
-                    Some(acc) => merge_reports(acc, &report),
-                });
-                lo = hi;
-                chunk_index += 1;
-            }
-            if let Some(report) = device_report {
-                merged.push((device_index, count, report));
-            }
-        }
-
-        let timeline = queue.synchronize();
-        let wall = timeline.makespan();
-        let slices = merged
-            .into_iter()
-            .map(|(device_index, num_tensors, report)| DeviceSlice {
-                device_index,
-                num_tensors,
-                report,
-                transfer_seconds: timeline.copy_seconds(device_index),
-                total_seconds: timeline.device_busy_seconds(device_index),
-            })
-            .collect();
-        let gflops = if wall > 0.0 {
-            useful_flops as f64 / wall / 1e9
-        } else {
-            0.0
-        };
-        Ok((
-            GpuBatchResult { results },
-            MultiReport {
-                slices,
-                seconds: wall,
-                useful_flops,
-                gflops,
-                timeline,
-            },
-        ))
-    }
-}
-
-/// Merge two launch reports of the *same device and variant* (successive
-/// chunks of one slice) into one per-device report: counts, stats, flops
-/// and serial kernel seconds add up; occupancy/resources are per-launch
-/// constants and carry over.
-fn merge_reports(mut acc: LaunchReport, next: &LaunchReport) -> LaunchReport {
-    acc.grid.num_blocks += next.grid.num_blocks;
-    acc.stats.counters.merge(&next.stats.counters);
-    acc.stats.warp_serial_instructions += next.stats.warp_serial_instructions;
-    acc.stats.thread_instructions += next.stats.thread_instructions;
-    acc.stats.num_warps += next.stats.num_warps;
-    acc.useful_flops += next.useful_flops;
-    // Kernel time on one device is serial regardless of streams (one
-    // compute engine), so seconds add; per-chunk launch overhead is
-    // already inside each estimate.
-    let (sa, sb) = (acc.timing.seconds, next.timing.seconds);
-    acc.timing.compute_seconds += next.timing.compute_seconds;
-    acc.timing.memory_seconds += next.timing.memory_seconds;
-    acc.timing.seconds += next.timing.seconds;
-    if sa + sb > 0.0 {
-        acc.timing.issue_efficiency =
-            (acc.timing.issue_efficiency * sa + next.timing.issue_efficiency * sb) / (sa + sb);
-    }
-    acc.timing.active_sms = acc.timing.active_sms.max(next.timing.active_sms);
-    acc.gflops = acc.timing.gflops(acc.useful_flops);
-    acc.host_transfer.down_bytes += next.host_transfer.down_bytes;
-    acc.host_transfer.up_bytes += next.host_transfer.up_bytes;
-    acc.host_transfer.down_copies += next.host_transfer.down_copies;
-    acc.host_transfer.up_copies += next.host_transfer.up_copies;
-    acc
-}
-
 #[cfg(test)]
 mod tests {
+    //! Single-host launches: one [`Cluster`] host owning every device, so
+    //! the device split, chunking and link timing are observed without
+    //! any NIC traffic.
+
     use super::*;
-    use crate::kernel::launch_sshopm;
+    use crate::device::DeviceSpec;
+    use crate::error::GpuError;
+    use crate::kernel::{launch_sshopm, GpuBatchResult, GpuVariant};
+    use crate::topology::{Cluster, ClusterReport, Host};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sshopm::starts::random_uniform_starts;
+    use sshopm::IterationPolicy;
     use symtensor::TensorBatch;
 
     fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
@@ -393,23 +122,78 @@ mod tests {
         (tensors, starts)
     }
 
+    /// One host with `count` C2050s behind PCIe 2.0.
+    fn c2050s(count: usize) -> Cluster {
+        Cluster::single_host(
+            vec![DeviceSpec::tesla_c2050(); count],
+            TransferModel::pcie2(),
+        )
+        .unwrap()
+    }
+
+    fn launch(
+        cluster: &Cluster,
+        tensors: &TensorBatch<f32>,
+        starts: &[Vec<f32>],
+        policy: IterationPolicy,
+        chunk_tensors: Option<usize>,
+        streams_per_device: usize,
+    ) -> (GpuBatchResult<f32>, ClusterReport) {
+        cluster
+            .launch(
+                tensors,
+                starts,
+                policy,
+                0.0,
+                GpuVariant::Unrolled,
+                chunk_tensors,
+                streams_per_device,
+            )
+            .unwrap()
+    }
+
+    fn slice_sizes(report: &ClusterReport) -> Vec<usize> {
+        report.shards[0]
+            .report
+            .slices
+            .iter()
+            .map(|s| s.num_tensors)
+            .collect()
+    }
+
     #[test]
     fn split_is_exact_and_proportional() {
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 4, TransferModel::pcie2()).unwrap();
-        let counts = mg.split(1024);
+        let (tensors, starts) = workload(1024, 1, 0);
+        let (_, report) = launch(
+            &c2050s(4),
+            &tensors,
+            &starts,
+            IterationPolicy::Fixed(1),
+            None,
+            1,
+        );
+        let counts = slice_sizes(&report);
         assert_eq!(counts.iter().sum::<usize>(), 1024);
         assert_eq!(counts, vec![256; 4]);
     }
 
     #[test]
     fn heterogeneous_split_favors_faster_device() {
-        let mg = MultiGpu::new(
+        let cluster = Cluster::single_host(
             vec![DeviceSpec::tesla_c2050(), DeviceSpec::tesla_c1060()],
             TransferModel::pcie2(),
         )
         .unwrap();
-        let counts = mg.split(100);
+        let (tensors, starts) = workload(100, 1, 0);
+        let (_, report) = launch(
+            &cluster,
+            &tensors,
+            &starts,
+            IterationPolicy::Fixed(1),
+            None,
+            1,
+        );
+        let counts = slice_sizes(&report);
         assert_eq!(counts.iter().sum::<usize>(), 100);
         assert!(counts[0] > counts[1], "{counts:?}");
     }
@@ -428,33 +212,22 @@ mod tests {
             GpuVariant::Unrolled,
         )
         .unwrap();
-        let mg = MultiGpu::homogeneous(single, 4, TransferModel::pcie2()).unwrap();
-        let (multi, report) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
+        let (multi, report) = launch(&c2050s(4), &tensors, &starts, policy, None, 1);
         assert_eq!(multi.results.len(), 16);
         for t in 0..16 {
             for v in 0..32 {
                 assert_eq!(multi.results[t][v].lambda, base.results[t][v].lambda);
             }
         }
-        assert_eq!(report.slices.len(), 4);
+        assert_eq!(report.shards[0].report.slices.len(), 4);
     }
 
     #[test]
     fn two_gpus_are_faster_than_one_at_scale() {
         let (tensors, starts) = workload(512, 128, 2);
         let policy = IterationPolicy::Fixed(20);
-        let one =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 1, TransferModel::pcie2()).unwrap();
-        let two =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 2, TransferModel::pcie2()).unwrap();
-        let (_, r1) = one
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
-        let (_, r2) = two
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
+        let (_, r1) = launch(&c2050s(1), &tensors, &starts, policy, None, 1);
+        let (_, r2) = launch(&c2050s(2), &tensors, &starts, policy, None, 1);
         let speedup = r1.seconds / r2.seconds;
         assert!(
             speedup > 1.5,
@@ -466,16 +239,8 @@ mod tests {
     fn tiny_batches_do_not_benefit_from_more_gpus() {
         let (tensors, starts) = workload(2, 32, 3);
         let policy = IterationPolicy::Fixed(5);
-        let one =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 1, TransferModel::pcie2()).unwrap();
-        let four =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 4, TransferModel::pcie2()).unwrap();
-        let (_, r1) = one
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
-        let (_, r4) = four
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
+        let (_, r1) = launch(&c2050s(1), &tensors, &starts, policy, None, 1);
+        let (_, r4) = launch(&c2050s(4), &tensors, &starts, policy, None, 1);
         // Fixed transfer latency and launch overhead dominate; no big win.
         assert!(
             r4.seconds > r1.seconds * 0.4,
@@ -506,14 +271,11 @@ mod tests {
         // (kernel-bound overall) and attribute most bytes to the upload of
         // results, not the tensor download.
         let policy = IterationPolicy::Fixed(20);
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 1, TransferModel::pcie2()).unwrap();
+        let cluster = c2050s(1);
         for t in [64usize, 1024] {
             let (tensors, starts) = workload(t, 128, 4);
-            let (_, report) = mg
-                .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-                .unwrap();
-            let slice = &report.slices[0];
+            let (_, report) = launch(&cluster, &tensors, &starts, policy, None, 1);
+            let slice = &report.shards[0].report.slices[0];
             let share = slice.transfer_seconds / slice.total_seconds;
             assert!(share < 0.5, "T={t}: transfer share {share:.3}");
             let (down, up) = problem_traffic_bytes(t, 128, 4, 3, 4);
@@ -533,58 +295,59 @@ mod tests {
         assert!((tm.transfer_seconds(6_000_000_000) - (1.0 + 10e-6)).abs() < 1e-12);
     }
 
-    /// The stream scheduler must reproduce the old serial
-    /// `transfer + compute` sum exactly when there is nothing to overlap:
-    /// one stream per device means upload → kernel → download back to
-    /// back, so the makespan equals kernel seconds plus both copies.
+    /// The stream scheduler must reproduce the serial `transfer +
+    /// compute` sum exactly when there is nothing to overlap: one stream
+    /// per device means upload → kernel → download back to back, so the
+    /// makespan equals kernel seconds plus both copies. Over the untimed
+    /// link (the one-device `gpusim` spelling) the copies cost nothing and
+    /// the makespan is the kernel estimate to the bit.
     #[test]
     fn synchronous_timeline_equals_serial_transfer_plus_compute() {
         let (tensors, starts) = workload(64, 32, 21);
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 1, TransferModel::pcie2()).unwrap();
-        let (_, report) = mg
-            .launch(
+        for tm in [TransferModel::pcie2(), TransferModel::untimed()] {
+            let cluster = Cluster::single_host(vec![DeviceSpec::tesla_c2050()], tm).unwrap();
+            let (_, report) = launch(
+                &cluster,
                 &tensors,
                 &starts,
                 IterationPolicy::Fixed(10),
-                0.0,
-                GpuVariant::Unrolled,
-            )
-            .unwrap();
-        assert_eq!(report.timeline.ops.len(), 3);
-        let slice = &report.slices[0];
-        let ht = slice.report.host_transfer;
-        let tm = TransferModel::pcie2();
-        let serial = slice.report.timing.seconds
-            + tm.transfer_seconds(ht.down_bytes)
-            + tm.transfer_seconds(ht.up_bytes);
-        assert!(
-            (report.seconds - serial).abs() < 1e-12,
-            "makespan {} vs serial {}",
-            report.seconds,
-            serial
-        );
-        assert_eq!(slice.total_seconds, report.seconds);
-        assert!(
-            (slice.transfer_seconds
-                - (tm.transfer_seconds(ht.down_bytes) + tm.transfer_seconds(ht.up_bytes)))
-            .abs()
-                < 1e-15
-        );
+                None,
+                1,
+            );
+            let host = &report.shards[0].report;
+            assert_eq!(host.timeline.ops.len(), 3);
+            let slice = &host.slices[0];
+            let ht = slice.report.host_transfer;
+            let serial = slice.report.timing.seconds
+                + tm.transfer_seconds(ht.down_bytes)
+                + tm.transfer_seconds(ht.up_bytes);
+            assert!(
+                (report.seconds - serial).abs() < 1e-12,
+                "makespan {} vs serial {}",
+                report.seconds,
+                serial
+            );
+            assert_eq!(slice.total_seconds, report.seconds);
+            assert!(
+                (slice.transfer_seconds
+                    - (tm.transfer_seconds(ht.down_bytes) + tm.transfer_seconds(ht.up_bytes)))
+                .abs()
+                    < 1e-15
+            );
+            if tm == TransferModel::untimed() {
+                let kernel = slice.report.timing.seconds;
+                assert_eq!(report.seconds.to_bits(), kernel.to_bits());
+            }
+        }
     }
 
     #[test]
     fn pipelined_results_are_bitwise_identical_to_synchronous() {
         let (tensors, starts) = workload(300, 32, 22);
         let policy = IterationPolicy::Fixed(8);
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 2, TransferModel::pcie2()).unwrap();
-        let (sync, _) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
-        let (piped, report) = mg
-            .launch_pipelined(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, 64, 2)
-            .unwrap();
+        let cluster = c2050s(2);
+        let (sync, _) = launch(&cluster, &tensors, &starts, policy, None, 1);
+        let (piped, report) = launch(&cluster, &tensors, &starts, policy, Some(64), 2);
         assert_eq!(piped.results.len(), sync.results.len());
         for (t, (a, b)) in piped.results.iter().zip(&sync.results).enumerate() {
             for (v, (pa, pb)) in a.iter().zip(b).enumerate() {
@@ -596,7 +359,7 @@ mod tests {
         }
         // Both devices split the work and chunked it: 150 tensors / 64 →
         // 3 chunks each, 3 ops per chunk.
-        assert_eq!(report.timeline.ops.len(), 2 * 3 * 3);
+        assert_eq!(report.shards[0].report.timeline.ops.len(), 2 * 3 * 3);
     }
 
     /// Regression pin (satellite): chunked paths charge the launch
@@ -607,16 +370,12 @@ mod tests {
         use crate::timing::LAUNCH_OVERHEAD_S;
         let (tensors, starts) = workload(512, 32, 23);
         let policy = IterationPolicy::Fixed(5);
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 1, TransferModel::pcie2()).unwrap();
-        let (_, sync) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
-        let (_, piped) = mg
-            .launch_pipelined(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, 128, 1)
-            .unwrap();
+        let cluster = c2050s(1);
+        let (_, sync) = launch(&cluster, &tensors, &starts, policy, None, 1);
+        let (_, piped) = launch(&cluster, &tensors, &starts, policy, Some(128), 1);
         // 4 chunks: 3 more launch overheads than the single launch.
-        let extra = piped.slices[0].report.timing.seconds - sync.slices[0].report.timing.seconds;
+        let kernel = |r: &ClusterReport| r.shards[0].report.slices[0].report.timing.seconds;
+        let extra = kernel(&piped) - kernel(&sync);
         assert!(
             extra >= 3.0 * LAUNCH_OVERHEAD_S * 0.999,
             "per-chunk overhead missing: extra kernel time {extra:e}"
@@ -629,45 +388,39 @@ mod tests {
         // for the extra per-chunk launch overheads.
         let (tensors, starts) = workload(2048, 64, 24);
         let policy = IterationPolicy::Fixed(5);
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 1, TransferModel::pcie2()).unwrap();
-        let (_, sync) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
-            .unwrap();
-        let (_, piped) = mg
-            .launch_pipelined(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, 256, 2)
-            .unwrap();
+        let cluster = c2050s(1);
+        let (_, sync) = launch(&cluster, &tensors, &starts, policy, None, 1);
+        let (_, piped) = launch(&cluster, &tensors, &starts, policy, Some(256), 2);
         assert!(
             piped.seconds < sync.seconds,
             "pipelined {} >= synchronous {}",
             piped.seconds,
             sync.seconds
         );
-        assert!(piped.timeline.overlap_seconds() > 0.0);
+        assert!(piped.shards[0].report.timeline.overlap_seconds() > 0.0);
     }
 
     #[test]
     fn empty_device_list_is_an_error_not_a_panic() {
-        let err = MultiGpu::new(vec![], TransferModel::pcie2()).unwrap_err();
-        assert_eq!(err, GpuError::EmptyDeviceList);
-        let err = MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 0, TransferModel::pcie2())
-            .unwrap_err();
-        assert_eq!(err, GpuError::EmptyDeviceList);
+        let err = Cluster::single_host(vec![], TransferModel::pcie2()).unwrap_err();
+        assert_eq!(err, GpuError::EmptyHost);
+        let err = Host::homogeneous(DeviceSpec::tesla_c2050(), 0).unwrap_err();
+        assert_eq!(err, GpuError::EmptyHost);
     }
 
     #[test]
     fn empty_batch_is_an_error_not_a_panic() {
-        let mg =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 2, TransferModel::pcie2()).unwrap();
         let none = TensorBatch::<f32>::new(4, 3).unwrap();
         let starts = vec![vec![1.0f32, 0.0, 0.0]];
-        let err = mg
+        let err = c2050s(2)
             .launch(
                 &none,
                 &starts,
                 IterationPolicy::Fixed(5),
                 0.0,
                 GpuVariant::General,
+                None,
+                1,
             )
             .unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);

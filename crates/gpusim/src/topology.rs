@@ -1,29 +1,32 @@
 //! Explicit cluster topology: `Cluster` → [`Host`] → device.
 //!
-//! The rest of the simulator grew up around one implicit host owning N
-//! devices over PCIe. This module lifts that assumption into data: a
-//! [`Cluster`] is a list of [`Host`]s, each host owns its devices plus
+//! One device, N devices on one board, streamed chunks and N hosts are
+//! one topology with different (hosts, devices, streams, chunk) values.
+//! A [`Cluster`] is a list of [`Host`]s; each host owns its devices plus
 //! *two* link models — the intra-host PCIe link its
-//! [`StreamQueue`](crate::stream::StreamQueue) times copies with, and the
-//! NIC connecting the host to the root node where the batch arena lives.
+//! [`StreamQueue`] times copies with, and the NIC connecting the host to
+//! the root node where the batch arena lives.
 //!
-//! Sharded execution ([`Cluster::launch`]) cuts the packed tensor arena
-//! into one contiguous slice per host (proportional to the host's summed
-//! peak throughput), charges one modeled NIC transfer per non-root shard
-//! (shard arena + starting vectors down, packed eigenpairs back up), and
-//! runs each shard through the host's own [`MultiGpu`] stream scheduling.
-//! Because the tensors are independent, this schedule moves every byte at
-//! most once — the communication cost is charged against the lower bound
-//! of Al Daas, Ballard, Grigori et al., "Minimizing Communication for
-//! Parallel Symmetric Tensor Times Same Vector Computation"
+//! [`Cluster::launch`] is the single multi-device launch path. It cuts the
+//! packed tensor arena into one contiguous slice per host (proportional
+//! to the host's summed peak throughput), charges one modeled NIC
+//! transfer per non-root shard (shard arena + starting vectors down,
+//! packed eigenpairs back up), and runs each shard on the host's own
+//! stream queue: split again over the host's devices, optionally cut into
+//! chunks dealt round-robin over several streams per device. Because the
+//! tensors are independent, this schedule moves every byte at most once —
+//! the communication cost is charged against the lower bound of Al Daas,
+//! Ballard, Grigori et al., "Minimizing Communication for Parallel
+//! Symmetric Tensor Times Same Vector Computation"
 //! ([`Cluster::comm_lower_bound_bytes`]), and reports the achieved-vs-
 //! bound ratio ([`ClusterReport::comm_ratio`]).
 
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
-use crate::kernel::{GpuBatchResult, GpuVariant};
-use crate::multi::{problem_traffic_bytes, MultiGpu, MultiReport, TransferModel};
-use sshopm::IterationPolicy;
+use crate::kernel::{enqueue_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
+use crate::multi::{problem_traffic_bytes, TransferModel};
+use crate::stream::{StreamQueue, Timeline};
+use sshopm::{Eigenpair, IterationPolicy};
 use symtensor::multinomial::num_unique_entries;
 use symtensor::{Scalar, TensorBatchRef};
 
@@ -121,17 +124,14 @@ impl Cluster {
         Self::new(vec![host; num_hosts])
     }
 
-    /// The degenerate one-host cluster the rest of the stack historically
-    /// assumed: all `devices` on the root, nothing ever crosses a NIC.
+    /// One host owning all `devices` behind the `pcie` link: the root,
+    /// so nothing ever crosses a NIC. With [`TransferModel::untimed`] and
+    /// one device this is the paper's Table III setting.
     ///
     /// # Errors
     /// Returns [`GpuError::EmptyHost`] when the device list is empty.
     pub fn single_host(devices: Vec<DeviceSpec>, pcie: TransferModel) -> Result<Self, GpuError> {
-        Self::new(vec![Host::new(
-            devices,
-            pcie,
-            TransferModel::qdr_infiniband(),
-        )?])
+        Ok(Host::new(devices, pcie, TransferModel::qdr_infiniband())?.into())
     }
 
     /// The hosts, in shard order (host 0 is the root).
@@ -174,25 +174,10 @@ impl Cluster {
 
     /// Split `total` tensors across hosts proportionally to each host's
     /// summed peak throughput, remainder dealt to the fastest hosts
-    /// first — the same policy [`MultiGpu::split`] applies to devices, one
-    /// level up.
+    /// first — the same policy each host applies to its own devices.
     pub fn shard(&self, total: usize) -> Vec<usize> {
         let peaks: Vec<f64> = self.hosts.iter().map(Host::peak_sp_gflops).collect();
-        let sum: f64 = peaks.iter().sum();
-        let mut counts: Vec<usize> = peaks
-            .iter()
-            .map(|p| ((p / sum) * total as f64).floor() as usize)
-            .collect();
-        let mut assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..self.hosts.len()).collect();
-        order.sort_by(|&a, &b| peaks[b].total_cmp(&peaks[a]));
-        let mut i = 0;
-        while assigned < total {
-            counts[order[i % order.len()]] += 1;
-            assigned += 1;
-            i += 1;
-        }
-        counts
+        split_by_peak(&peaks, total)
     }
 
     /// The Al Daas et al. communication lower bound for this problem on
@@ -232,16 +217,24 @@ impl Cluster {
             + (self.hosts.len() as u64 - 1) * starts_bytes
     }
 
-    /// Launch the batched SS-HOPM problem across the cluster: shard the
-    /// arena contiguously over hosts, charge each non-root shard one NIC
-    /// round trip, and run each shard synchronously on its host's devices
-    /// (one stream per device). Results come back in original tensor
-    /// order and are bitwise identical to any single-host launch of the
-    /// same batch — sharding changes the clock, never the arithmetic.
+    /// Launch the batched SS-HOPM problem across the cluster — the one
+    /// launch path behind every simulated-GPU backend.
+    ///
+    /// The arena is sharded contiguously over hosts
+    /// ([`shard`](Cluster::shard)) and each non-root shard is charged one
+    /// NIC round trip. Each host splits its shard over its devices the
+    /// same way and enqueues each device's share on its own stream queue:
+    /// as one launch when `chunk_tensors` is `None`, otherwise as
+    /// `chunk_tensors`-sized chunks dealt round-robin over
+    /// `streams_per_device` streams, so chunk `k+1`'s upload overlaps
+    /// chunk `k`'s kernel. Results come back in original tensor order and
+    /// are bitwise identical for every topology and schedule — sharding
+    /// and chunking change the clock, never the arithmetic.
     ///
     /// # Errors
-    /// Returns a [`GpuError`] for an empty batch or any per-host launch
-    /// failure (empty starts, mixed shapes, missing unrolled kernel).
+    /// Returns a [`GpuError`] for an empty batch or any per-device launch
+    /// failure (empty starts, oversized shape, missing unrolled kernel).
+    #[allow(clippy::too_many_arguments)]
     pub fn launch<'a, S: Scalar>(
         &self,
         batch: impl Into<TensorBatchRef<'a, S>>,
@@ -249,56 +242,18 @@ impl Cluster {
         policy: IterationPolicy,
         alpha: f64,
         variant: GpuVariant,
-    ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
-        self.launch_sharded(batch.into(), starts, policy, alpha, variant, None, 1)
-    }
-
-    /// Like [`launch`](Cluster::launch), but each host runs its shard
-    /// through the double-buffered chunked path (`chunk_tensors` per
-    /// chunk, `streams_per_device` streams), overlapping PCIe transfers
-    /// with kernels exactly as [`MultiGpu::launch_pipelined`] does.
-    ///
-    /// # Errors
-    /// Same contract as [`launch`](Cluster::launch).
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_pipelined<'a, S: Scalar>(
-        &self,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
-        chunk_tensors: usize,
-        streams_per_device: usize,
-    ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
-        self.launch_sharded(
-            batch.into(),
-            starts,
-            policy,
-            alpha,
-            variant,
-            Some(chunk_tensors.max(1)),
-            streams_per_device.max(1),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn launch_sharded<S: Scalar>(
-        &self,
-        batch: TensorBatchRef<'_, S>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
         chunk_tensors: Option<usize>,
         streams_per_device: usize,
     ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
+        let batch = batch.into();
         if batch.is_empty() {
             return Err(GpuError::EmptyBatch);
         }
         let (m, n) = (batch.order(), batch.dim());
         let elem = std::mem::size_of::<S>();
         let counts = self.shard(batch.len());
+        let chunk_tensors = chunk_tensors.map(|c| c.max(1));
+        let streams_per_device = streams_per_device.max(1);
 
         let mut results = Vec::with_capacity(batch.len());
         let mut shards = Vec::new();
@@ -316,20 +271,17 @@ impl Cluster {
             // then over PCIe) as one coalesced payload.
             let slice = batch.slice(offset..offset + count);
             offset += count;
-            let mg = MultiGpu::for_host(host)?;
-            let (res, report) = match chunk_tensors {
-                Some(chunk) => mg.launch_pipelined(
-                    slice,
-                    starts,
-                    policy,
-                    alpha,
-                    variant,
-                    chunk,
-                    streams_per_device,
-                )?,
-                None => mg.launch(slice, starts, policy, alpha, variant)?,
-            };
-            results.extend(res.results);
+            let report = launch_host(
+                host,
+                slice,
+                starts,
+                policy,
+                alpha,
+                variant,
+                chunk_tensors,
+                streams_per_device,
+                &mut results,
+            )?;
             useful_flops += report.useful_flops;
             // One modeled NIC transfer each way per non-root shard; the
             // root's shard is already resident.
@@ -357,11 +309,6 @@ impl Cluster {
             });
         }
 
-        let gflops = if wall > 0.0 {
-            useful_flops as f64 / wall / 1e9
-        } else {
-            0.0
-        };
         let comm_lower_bound_bytes =
             self.comm_lower_bound_bytes(batch.len(), starts.len(), m, n, elem);
         Ok((
@@ -370,11 +317,197 @@ impl Cluster {
                 shards,
                 seconds: wall,
                 useful_flops,
-                gflops,
                 nic_bytes,
                 comm_lower_bound_bytes,
             },
         ))
+    }
+}
+
+/// Split `total` items proportionally to `peaks`: floor each share, then
+/// deal the remainder one at a time to the fastest entries first. Every
+/// entry gets its fair share while items remain; the counts sum to
+/// `total` exactly.
+fn split_by_peak(peaks: &[f64], total: usize) -> Vec<usize> {
+    let sum: f64 = peaks.iter().sum();
+    let mut counts: Vec<usize> = peaks
+        .iter()
+        .map(|p| ((p / sum) * total as f64).floor() as usize)
+        .collect();
+    let mut assigned: usize = counts.iter().sum();
+    let mut order: Vec<usize> = (0..peaks.len()).collect();
+    order.sort_by(|&a, &b| peaks[b].total_cmp(&peaks[a]));
+    let mut i = 0;
+    while assigned < total {
+        counts[order[i % order.len()]] += 1;
+        assigned += 1;
+        i += 1;
+    }
+    counts
+}
+
+/// One host's part of [`Cluster::launch`]: split `batch` over the host's
+/// devices by peak throughput, enqueue each device's share on the host's
+/// stream queue (whole, or as `chunk_tensors`-sized chunks dealt
+/// round-robin over `streams_per_device` streams), append the eigenpairs
+/// to `results` in tensor order, and resolve the queue into the host's
+/// timeline. Devices run concurrently, and transfers to distinct devices
+/// use distinct PCIe lanes, as on real multi-GPU boards.
+#[allow(clippy::too_many_arguments)]
+fn launch_host<S: Scalar>(
+    host: &Host,
+    batch: TensorBatchRef<'_, S>,
+    starts: &[Vec<S>],
+    policy: IterationPolicy,
+    alpha: f64,
+    variant: GpuVariant,
+    chunk_tensors: Option<usize>,
+    streams_per_device: usize,
+    results: &mut Vec<Vec<Eigenpair<S>>>,
+) -> Result<MultiReport, GpuError> {
+    // `Host`'s fields are public, so an empty device list can arrive here
+    // without passing through `Host::new`.
+    if host.devices.is_empty() {
+        return Err(GpuError::EmptyHost);
+    }
+    let peaks: Vec<f64> = host
+        .devices
+        .iter()
+        .map(DeviceSpec::peak_sp_gflops)
+        .collect();
+    let counts = split_by_peak(&peaks, batch.len());
+    let mut queue = StreamQueue::for_host(host);
+    // (device_index, tensors, merged report) per device with work;
+    // transfer/total seconds are read off the timeline afterwards.
+    let mut merged: Vec<(usize, usize, LaunchReport)> = Vec::new();
+    let mut offset = 0usize;
+    let mut useful_flops = 0u64;
+
+    for (device_index, (&count, device)) in counts.iter().zip(&host.devices).enumerate() {
+        if count == 0 {
+            continue;
+        }
+        // Zero-copy arena slice: the device's share is a contiguous
+        // sub-range of the same buffer; each chunk of it ships in one DMA
+        // from the same memory.
+        let slice = batch.slice(offset..offset + count);
+        offset += count;
+        let streams: Vec<_> = (0..streams_per_device)
+            .map(|_| queue.stream(device_index))
+            .collect();
+        let chunk_size = chunk_tensors.unwrap_or(count);
+        let mut device_report: Option<LaunchReport> = None;
+        for (chunk_index, lo) in (0..count).step_by(chunk_size).enumerate() {
+            let hi = (lo + chunk_size).min(count);
+            let (res, report) = enqueue_sshopm(
+                &mut queue,
+                streams[chunk_index % streams.len()],
+                device,
+                slice.slice(lo..hi),
+                starts,
+                policy,
+                alpha,
+                variant,
+            )?;
+            results.extend(res.results);
+            useful_flops += report.useful_flops;
+            device_report = Some(match device_report {
+                None => report,
+                Some(acc) => merge_reports(acc, &report),
+            });
+        }
+        if let Some(report) = device_report {
+            merged.push((device_index, count, report));
+        }
+    }
+
+    let timeline = queue.synchronize();
+    let wall = timeline.makespan();
+    let slices = merged
+        .into_iter()
+        .map(|(device_index, num_tensors, report)| DeviceSlice {
+            device_index,
+            num_tensors,
+            report,
+            transfer_seconds: timeline.copy_seconds(device_index),
+            total_seconds: timeline.device_busy_seconds(device_index),
+        })
+        .collect();
+    Ok(MultiReport {
+        slices,
+        seconds: wall,
+        useful_flops,
+        timeline,
+    })
+}
+
+/// Merge two launch reports of the *same device and variant* (successive
+/// chunks of one slice) into one per-device report: counts, stats, flops
+/// and serial kernel seconds add up; occupancy/resources are per-launch
+/// constants and carry over.
+fn merge_reports(mut acc: LaunchReport, next: &LaunchReport) -> LaunchReport {
+    acc.grid.num_blocks += next.grid.num_blocks;
+    acc.stats.counters.merge(&next.stats.counters);
+    acc.stats.warp_serial_instructions += next.stats.warp_serial_instructions;
+    acc.stats.thread_instructions += next.stats.thread_instructions;
+    acc.stats.num_warps += next.stats.num_warps;
+    acc.useful_flops += next.useful_flops;
+    // Kernel time on one device is serial regardless of streams (one
+    // compute engine), so seconds add; per-chunk launch overhead is
+    // already inside each estimate.
+    let (sa, sb) = (acc.timing.seconds, next.timing.seconds);
+    acc.timing.compute_seconds += next.timing.compute_seconds;
+    acc.timing.memory_seconds += next.timing.memory_seconds;
+    acc.timing.seconds += next.timing.seconds;
+    if sa + sb > 0.0 {
+        acc.timing.issue_efficiency =
+            (acc.timing.issue_efficiency * sa + next.timing.issue_efficiency * sb) / (sa + sb);
+    }
+    acc.timing.active_sms = acc.timing.active_sms.max(next.timing.active_sms);
+    acc.gflops = acc.timing.gflops(acc.useful_flops);
+    acc.host_transfer.down_bytes += next.host_transfer.down_bytes;
+    acc.host_transfer.up_bytes += next.host_transfer.up_bytes;
+    acc.host_transfer.down_copies += next.host_transfer.down_copies;
+    acc.host_transfer.up_copies += next.host_transfer.up_copies;
+    acc
+}
+
+/// One device's part of a host's launch.
+#[derive(Debug, Clone)]
+pub struct DeviceSlice {
+    /// Index into the host's device list.
+    pub device_index: usize,
+    /// Tensors assigned to this device.
+    pub num_tensors: usize,
+    /// The device's launch report (chunks merged).
+    pub report: LaunchReport,
+    /// Host→device + device→host transfer time for this slice.
+    pub transfer_seconds: f64,
+    /// When the device finished its last op (kernel + transfers).
+    pub total_seconds: f64,
+}
+
+/// One host's multi-device launch: its per-device slices and the
+/// resolved stream timeline of its queue.
+#[derive(Debug, Clone)]
+pub struct MultiReport {
+    /// One entry per device that received work.
+    pub slices: Vec<DeviceSlice>,
+    /// The host's makespan: devices run concurrently; streams overlap
+    /// transfers with compute.
+    pub seconds: f64,
+    /// Total useful flops across the host's devices.
+    pub useful_flops: u64,
+    /// The resolved event timeline behind `seconds`: every transfer and
+    /// kernel op with its modeled start/end.
+    pub timeline: Timeline,
+}
+
+impl From<Host> for Cluster {
+    /// The one-host cluster of `host`: it is the root, so nothing ever
+    /// crosses a NIC.
+    fn from(host: Host) -> Self {
+        Self { hosts: vec![host] }
     }
 }
 
@@ -393,8 +526,8 @@ pub struct HostShard {
     pub nic_seconds: f64,
     /// NIC time plus the host's device-level makespan.
     pub seconds: f64,
-    /// The host's own multi-GPU launch report (per-device slices,
-    /// stream timeline, makespan).
+    /// The host's own launch report (per-device slices, stream timeline,
+    /// makespan).
     pub report: MultiReport,
 }
 
@@ -408,8 +541,6 @@ pub struct ClusterReport {
     pub seconds: f64,
     /// Total useful flops across hosts.
     pub useful_flops: u64,
-    /// Aggregate achieved GFLOP/s (flops / wall-clock).
-    pub gflops: f64,
     /// Total bytes that crossed NICs, both directions.
     pub nic_bytes: u64,
     /// The Al Daas et al. communication lower bound for this problem on
@@ -508,13 +639,30 @@ mod tests {
         let (tensors, starts) = workload(64, 16, 11);
         let policy = IterationPolicy::Fixed(8);
         let single =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 2, TransferModel::pcie2()).unwrap();
+            Cluster::single_host(vec![DeviceSpec::tesla_c2050(); 2], TransferModel::pcie2())
+                .unwrap();
         let (base, _) = single
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                0.0,
+                GpuVariant::Unrolled,
+                None,
+                1,
+            )
             .unwrap();
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
         let (sharded, report) = cluster
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                0.0,
+                GpuVariant::Unrolled,
+                None,
+                1,
+            )
             .unwrap();
         assert_eq!(sharded.results.len(), base.results.len());
         for (a, b) in sharded
@@ -542,6 +690,8 @@ mod tests {
                 IterationPolicy::Fixed(5),
                 0.0,
                 GpuVariant::Unrolled,
+                None,
+                1,
             )
             .unwrap();
         assert_eq!(report.shards[0].nic_down_bytes, 0);
@@ -567,6 +717,8 @@ mod tests {
                     IterationPolicy::Fixed(3),
                     0.0,
                     GpuVariant::Unrolled,
+                    None,
+                    1,
                 )
                 .unwrap();
             let ratio = report.comm_ratio();
@@ -587,7 +739,15 @@ mod tests {
         for hosts in [1usize, 2, 4] {
             let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), hosts, 2).unwrap();
             let (_, report) = cluster
-                .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+                .launch(
+                    &tensors,
+                    &starts,
+                    policy,
+                    0.0,
+                    GpuVariant::Unrolled,
+                    None,
+                    1,
+                )
                 .unwrap();
             assert!(
                 report.seconds < last,
@@ -610,6 +770,8 @@ mod tests {
                 IterationPolicy::Fixed(3),
                 0.0,
                 GpuVariant::Unrolled,
+                None,
+                1,
             )
             .unwrap();
         assert_eq!(report.nic_bytes, 0);
@@ -622,10 +784,26 @@ mod tests {
         let policy = IterationPolicy::Fixed(6);
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
         let (sync, _) = cluster
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                0.0,
+                GpuVariant::Unrolled,
+                None,
+                1,
+            )
             .unwrap();
         let (piped, _) = cluster
-            .launch_pipelined(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, 64, 2)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                0.0,
+                GpuVariant::Unrolled,
+                Some(64),
+                2,
+            )
             .unwrap();
         for (a, b) in piped
             .results
@@ -649,6 +827,8 @@ mod tests {
                 IterationPolicy::Fixed(5),
                 0.0,
                 GpuVariant::General,
+                None,
+                1,
             )
             .unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);

@@ -3,7 +3,7 @@
 //! bitwise parity between pipelined and synchronous execution.
 
 use gpusim::{
-    launch_sshopm, DeviceSpec, Engine, MultiGpu, Op, StreamQueue, Timeline, TransferModel,
+    launch_sshopm, Cluster, DeviceSpec, Engine, Op, StreamQueue, Timeline, TransferModel,
 };
 use proptest::prelude::*;
 use sshopm::starts::random_uniform_starts;
@@ -153,9 +153,9 @@ proptest! {
 
         let (sync, _) = launch_sshopm(
             &device, &batch, &starts, policy, 0.0, gpusim::GpuVariant::General).unwrap();
-        let mg = MultiGpu::homogeneous(device, 1, TransferModel::pcie2()).unwrap();
-        let (piped, report) = mg.launch_pipelined(
-            &batch, &starts, policy, 0.0, gpusim::GpuVariant::General, chunk, streams).unwrap();
+        let host = Cluster::single_host(vec![device], TransferModel::pcie2()).unwrap();
+        let (piped, report) = host.launch(
+            &batch, &starts, policy, 0.0, gpusim::GpuVariant::General, Some(chunk), streams).unwrap();
 
         for (srow, prow) in sync.results.iter().zip(&piped.results) {
             for (s, p) in srow.iter().zip(prow) {
@@ -167,6 +167,6 @@ proptest! {
         }
         // The timeline carries one h2d + kernel + d2h triple per chunk.
         let chunks = tensors.div_ceil(chunk);
-        prop_assert_eq!(report.timeline.ops.len(), 3 * chunks);
+        prop_assert_eq!(report.shards[0].report.timeline.ops.len(), 3 * chunks);
     }
 }

@@ -30,7 +30,10 @@
 //! ## Batched solves through an execution backend
 //!
 //! Every batched solve — CPU pools and simulated GPUs alike — runs behind
-//! the [`backend::SolveBackend`] trait, selected by a spec string:
+//! the [`backend::SolveBackend`] trait, selected by a spec string. `cpu`
+//! specs build [`backend::Cpu`]; `gpusim`, `pipelined` and `cluster`
+//! specs are spellings of the one simulated-GPU backend,
+//! [`backend::GpuSimBackend`], over a host/device/stream topology:
 //!
 //! ```
 //! use tensor_eig::prelude::*;
@@ -64,9 +67,8 @@ pub use unrolled;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use backend::{
-        parse_fault_plan, BackendSpec, BatchReport, CpuParallel, CpuSequential, FaultLog,
-        GpuSimBackend, KernelStrategy, MultiGpuBackend, PipelinedBackend, ResilientBackend,
-        SolveBackend,
+        parse_fault_plan, BackendSpec, BatchReport, Cpu, FaultLog, GpuSimBackend, KernelStrategy,
+        ResilientBackend, SolveBackend,
     };
     pub use dwmri::{
         extract_fibers, extract_fibers_with, ExtractConfig, NoiseModel, Phantom, PhantomConfig,
@@ -94,16 +96,14 @@ mod tests {
         let _ = DeviceSpec::tesla_c2050();
         let _ = UnrolledKernels::for_shape(4, 3);
         let _ = PhantomConfig::default();
-        let _ = CpuSequential::new(KernelStrategy::General);
+        let _ = Cpu::new(1, KernelStrategy::General);
         let spec: BackendSpec = "cpu:2".parse().unwrap();
         let _: Box<dyn SolveBackend<f64>> = spec.build(KernelStrategy::Blocked).unwrap();
         let _ = gpusim::FaultPlan::new(1);
-        let _ = PipelinedBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            1,
-            TransferModel::pcie2(),
-            KernelStrategy::General,
-        );
+        let _ = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::General);
+        let _ =
+            GpuSimBackend::homogeneous(DeviceSpec::tesla_c2050(), 2, 2, KernelStrategy::General);
+        let _ = TransferModel::pcie2();
         let _ = Telemetry::disabled();
     }
 }

@@ -75,7 +75,7 @@ fn main() {
 
     // Cross-check: the simulated GPU computes the same eigenpairs as the
     // CPU backend using the same (unrolled) kernels.
-    let cpu = CpuParallel::new(0, KernelStrategy::Unrolled)
+    let cpu = Cpu::new(0, KernelStrategy::Unrolled)
         .solve_batch(&tensors, &starts, &solver, &telemetry)
         .expect("gpu_batch example workload is well-formed");
     let gpu = &reports[1];
@@ -98,17 +98,11 @@ fn main() {
     // Same workload once more, chunked through two streams so uploads
     // double-buffer behind kernels (one copy engine + one compute engine,
     // like the real C2050).
-    let piped = PipelinedBackend::homogeneous(
-        device.clone(),
-        1,
-        TransferModel::pcie2(),
-        KernelStrategy::Unrolled,
-    )
-    .expect("one device is valid")
-    .with_streams(2)
-    .expect("two streams is a valid stream count")
-    .solve_batch(&tensors, &starts, &solver, &telemetry)
-    .expect("gpu_batch example workload is well-formed");
+    let piped = BackendSpec::parse("pipelined")
+        .and_then(|spec| spec.build::<f32>(KernelStrategy::Unrolled))
+        .expect("`pipelined` is a valid spec")
+        .solve_batch(&tensors, &starts, &solver, &telemetry)
+        .expect("gpu_batch example workload is well-formed");
     for (t, row) in piped.results.iter().enumerate() {
         for (v, pair) in row.iter().enumerate() {
             assert_eq!(

@@ -25,7 +25,7 @@ fn all_kernel_implementations_agree_bitwise_on_f32() {
     // One sequential CPU backend per kernel strategy — the same solve
     // through every contraction implementation.
     let run = |strategy: KernelStrategy| {
-        CpuSequential::new(strategy)
+        Cpu::new(1, strategy)
             .solve_batch(&tensors, &starts, &solver, &telemetry)
             .unwrap()
     };
