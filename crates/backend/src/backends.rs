@@ -9,6 +9,7 @@ use sshopm::Solver;
 use std::time::Instant;
 use symtensor::{flops, Scalar, TensorBatch};
 use telemetry::Telemetry;
+use unrolled::UnrolledKernels;
 
 /// An execution substrate for the paper's batched SS-HOPM workload: many
 /// same-shaped tensors, each solved from a shared set of starting vectors.
@@ -125,6 +126,11 @@ pub(crate) fn kernel_cache_delta(
 /// The paper's CPU rows: `threads == 1` is the "CPU – 1 core" row,
 /// strictly sequential on the calling thread with no thread pool
 /// involved; otherwise rayon `par_iter` over tensors (the OpenMP rows).
+///
+/// Under [`KernelStrategy::Unrolled`], a fixed-shift SS-HOPM batch whose
+/// shape has no generated kernel runs in lockstep lanes
+/// ([`sshopm::solve_batch_lockstep`]) and reports kernel `lanes`; every
+/// other combination runs the per-tensor driver on the registry's plan.
 #[derive(Debug, Clone, Copy)]
 pub struct Cpu {
     /// Worker threads: `1` = sequential on the calling thread, `0` = the
@@ -166,15 +172,15 @@ impl<S: Scalar> SolveBackend<S> for Cpu {
         let (m, n) = (batch.order(), batch.dim());
         let registry = KernelRegistry::global();
         let cache_before = registry.stats();
-        // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
-        // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
-        // keep the scalar per-tensor loop with the same lane-table kernels.
-        if self.strategy == KernelStrategy::Batched {
-            if let Some(alpha) = sshopm::lockstep_alpha(solver) {
-                let kernels = registry.batched(m, n);
+        let no_generated_kernel =
+            self.strategy == KernelStrategy::Unrolled && UnrolledKernels::for_shape(m, n).is_none();
+        let lane_alpha = sshopm::lockstep_alpha(solver).filter(|_| no_generated_kernel);
+        let (result, kernel, seconds) = match lane_alpha {
+            Some(alpha) => {
+                let lanes = registry.batched(m, n);
                 let started = Instant::now();
                 let result = sshopm::solve_batch_lockstep(
-                    &kernels,
+                    &lanes,
                     batch.view(),
                     starts,
                     alpha,
@@ -182,38 +188,27 @@ impl<S: Scalar> SolveBackend<S> for Cpu {
                     self.threads,
                     telemetry,
                 );
-                let seconds = started.elapsed().as_secs_f64();
-                let report = BatchReport {
-                    backend: label,
-                    kernel: self.strategy.name().to_string(),
-                    solver: solver.name().to_string(),
-                    useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
-                    results: result.results,
-                    total_iterations: result.total_iterations,
-                    seconds,
-                    profiles: Vec::new(),
-                    hosts: Vec::new(),
-                    comm: Default::default(),
-                    fault_log: FaultLog::default(),
-                    kernel_cache: kernel_cache_delta(&cache_before),
-                    timeline: None,
-                };
-                emit_run_report(telemetry, &report);
-                return Ok(report);
+                (result, "lanes", started.elapsed().as_secs_f64())
             }
-        }
-        let plan = registry.plan::<S>(m, n, self.strategy);
-        let started = Instant::now();
-        let result = BatchSolver::new(solver).with_threads(self.threads).run(
-            &*plan.kernels,
-            batch,
-            starts,
-            telemetry,
-        );
-        let seconds = started.elapsed().as_secs_f64();
+            None => {
+                let plan = registry.plan::<S>(m, n, self.strategy);
+                let started = Instant::now();
+                let result = BatchSolver::new(solver).with_threads(self.threads).run(
+                    &*plan.kernels,
+                    batch,
+                    starts,
+                    telemetry,
+                );
+                (
+                    result,
+                    plan.effective.name(),
+                    started.elapsed().as_secs_f64(),
+                )
+            }
+        };
         let report = BatchReport {
             backend: label,
-            kernel: plan.effective.name().to_string(),
+            kernel: kernel.to_string(),
             solver: solver.name().to_string(),
             useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
             results: result.results,

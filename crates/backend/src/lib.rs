@@ -3,8 +3,8 @@
 //! The paper's whole point is running the *same* SS-HOPM batch on
 //! different substrates — sequential CPU, multicore OpenMP, one GPU, many
 //! GPUs (Tables II/III) — and the kernel-implementation choice (general
-//! loops, precomputed tables, blocked const-generic code, fully unrolled
-//! straight-line code) is an axis *orthogonal* to the substrate. This
+//! loops, blocked const-generic code, fully unrolled straight-line code,
+//! runtime tapes) is an axis *orthogonal* to the substrate. This
 //! crate models both axes explicitly:
 //!
 //! * [`SolveBackend`] — the substrate: *where* the batch runs. Three
@@ -16,7 +16,8 @@
 //!   [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
 //! * [`KernelStrategy`] — the kernel implementation: *how* `A·xᵐ` /
 //!   `A·xᵐ⁻¹` are computed. Falls back gracefully when a strategy is
-//!   unavailable for a shape (e.g. no generated unrolled kernel).
+//!   unavailable for a shape (e.g. no generated unrolled kernel, where
+//!   [`Cpu`] runs fixed-shift SS-HOPM in lockstep lanes instead).
 //! * [`BackendSpec`] — a declarative string form (`cpu`, `cpu:8`,
 //!   `gpusim`, `gpusim:tesla-c2050:4`, `pipelined:2`, `cluster:4:2:2`) so
 //!   CLIs and benchmark drivers select backends without hand-rolled

@@ -1,14 +1,16 @@
 //! Kernel-strategy selection: *how* the tensor contractions are computed,
 //! independently of *where* the batch runs.
 //!
-//! The strategy enum and the machinery that materializes kernels now live
-//! in the `kernelgen` crate: backends ask the process-wide
-//! [`KernelRegistry`] for a [`KernelPlan`] and get back a memoized,
-//! shareable kernel object (with automatic shape fallback along
-//! `Unrolled → Blocked → General` and `Tape → Blocked → General`) instead
-//! of boxing a fresh kernel per call. This module re-exports those types
-//! so `backend::KernelStrategy` keeps working, and adds the one mapping
-//! that is backend-specific: strategy → simulated-GPU kernel variant.
+//! The strategy enum and the machinery that materializes kernels live in
+//! the `kernelgen` crate: backends ask the process-wide [`KernelRegistry`]
+//! for a [`KernelPlan`] and get back a memoized, shareable kernel object
+//! (falling back one step: `Unrolled → Blocked`, `Tape → Blocked`, and
+//! `Blocked → General` above order 8) instead of boxing a fresh kernel per
+//! call. This module re-exports those types so `backend::KernelStrategy`
+//! keeps working, and adds the one mapping that is backend-specific:
+//! strategy → simulated-GPU kernel variant. The other shape-driven choice,
+//! lockstep lanes for fixed-shift SS-HOPM under `Unrolled` on shapes
+//! without a generated kernel, is made by [`crate::Cpu`].
 
 pub use kernelgen::{KernelPlan, KernelRegistry, KernelStrategy};
 
@@ -18,10 +20,10 @@ use unrolled::UnrolledKernels;
 /// Map a strategy onto a simulated-GPU kernel variant for shape `(m, n)`.
 ///
 /// The GPU model implements the general, unrolled, and tape variants, so
-/// `Blocked`/`Precomputed`/`Batched` run as `General`; `Unrolled` falls
-/// back to `General` for ungenerated shapes and `Tape` falls back to
-/// `General` for shapes the runtime generator does not support. Returns
-/// the variant and the strategy actually in effect.
+/// `Blocked` runs as `General`; `Unrolled` falls back to `General` for
+/// ungenerated shapes and `Tape` falls back to `General` for shapes the
+/// runtime generator does not support. Returns the variant and the
+/// strategy actually in effect.
 pub fn gpu_variant(strategy: KernelStrategy, m: usize, n: usize) -> (GpuVariant, KernelStrategy) {
     match strategy {
         KernelStrategy::Unrolled if UnrolledKernels::for_shape(m, n).is_some() => {
@@ -79,12 +81,7 @@ mod tests {
             gpu_variant(KernelStrategy::Tape, 5, 40),
             (GpuVariant::General, KernelStrategy::General)
         );
-        for s in [
-            KernelStrategy::General,
-            KernelStrategy::Blocked,
-            KernelStrategy::Precomputed,
-            KernelStrategy::Batched,
-        ] {
+        for s in [KernelStrategy::General, KernelStrategy::Blocked] {
             assert_eq!(gpu_variant(s, 4, 3).0, GpuVariant::General);
         }
     }

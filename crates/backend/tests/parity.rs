@@ -137,11 +137,12 @@ fn backends_agree_bitwise_with_identical_kernels() {
 
 #[test]
 fn parity_holds_for_unrolled_fallback_shapes() {
-    // (3, 5) has no generated unrolled kernel: the CPU backends fall back
-    // to blocked kernels, the GPU backends to the general variant. Within
-    // each substrate class the arithmetic is still identical code, so
-    // results match bitwise; across classes the kernels differ only in
-    // summation order, so eigenvalues agree to f32 round-off.
+    // (3, 5) has no generated unrolled kernel: the CPU backends run the
+    // fixed-shift batch in lockstep lanes, the GPU backends fall back to
+    // the general variant. Within each substrate class the arithmetic is
+    // still identical code, so results match bitwise; across classes the
+    // kernels differ only in summation order, so eigenvalues agree to f32
+    // round-off.
     let (tensors, mut starts, mut solver) = workload(3, 5);
     starts.truncate(4);
     solver = solver.with_policy(IterationPolicy::Fixed(25));
@@ -155,7 +156,7 @@ fn parity_holds_for_unrolled_fallback_shapes() {
 
     let (cpu_seq, cpu_par, gpu_one, gpu_multi) =
         (&reports[0], &reports[1], &reports[2], &reports[3]);
-    assert_eq!(cpu_seq.kernel, "blocked");
+    assert_eq!(cpu_seq.kernel, "lanes");
     assert_eq!(gpu_one.kernel, "general");
     for report in &reports {
         assert_eq!(report.total_iterations, cpu_seq.total_iterations);

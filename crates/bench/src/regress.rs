@@ -73,13 +73,13 @@ pub struct ScenarioResult {
 }
 
 /// The stable scenario keys of the matrix, one per backend family: CPU
-/// reference, the lane-vectorized lockstep CPU path, the runtime-generated
+/// reference, the generated unrolled CPU kernels, the runtime-generated
 /// tape kernels, both simulated-GPU kernels, multi-GPU split, stream
 /// pipeline, fault-injected resilient execution, and the sharded
 /// multi-host cluster.
 pub const SCENARIO_KEYS: [&str; 9] = [
     "cpu-seq-general",
-    "cpu-seq-batched",
+    "cpu-seq-unrolled",
     "cpu-seq-tape",
     "gpusim-c2050-general",
     "gpusim-c2050-unrolled",
@@ -93,7 +93,7 @@ fn scenario_backend(key: &str) -> Box<dyn SolveBackend<f32>> {
     let c2050 = DeviceSpec::tesla_c2050();
     match key {
         "cpu-seq-general" => Box::new(Cpu::new(1, KernelStrategy::General)),
-        "cpu-seq-batched" => Box::new(Cpu::new(1, KernelStrategy::Batched)),
+        "cpu-seq-unrolled" => Box::new(Cpu::new(1, KernelStrategy::Unrolled)),
         "cpu-seq-tape" => Box::new(Cpu::new(1, KernelStrategy::Tape)),
         "gpusim-c2050-general" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::General)),
         "gpusim-c2050-unrolled" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::Unrolled)),

@@ -1319,47 +1319,67 @@ mod tests {
 
     #[test]
     fn solve_kernel_batched_runs_lockstep_and_matches_precomputed() {
+        // (5,4) has no generated kernel, so `--kernel unrolled` with a
+        // fixed shift takes the lockstep lane driver, whose arithmetic is
+        // the scalar driver's over the precomputed tables, bit for bit.
         let path = tmp("solvebatched.txt");
         let mut out = Vec::new();
         random(
-            sv(&["4", "3", "10", "--out", &path, "--seed", "8"]),
+            sv(&["5", "4", "10", "--out", &path, "--seed", "8"]),
             &mut out,
         )
         .unwrap();
-        // Fixed shift → the batched strategy takes the lockstep panel
-        // driver; output must be identical to the scalar precomputed path.
-        let run = |kernel: &str| {
+        let run = |extra: &[&str]| {
+            let mut argv = vec![path.as_str(), "--starts", "6", "--seed", "3"];
+            argv.extend_from_slice(extra);
             let mut out = Vec::new();
-            solve(
-                sv(&[
-                    &path, "--starts", "6", "--seed", "3", "--shift", "2", "--kernel", kernel,
-                ]),
-                &mut out,
-            )
-            .unwrap();
-            String::from_utf8(out).unwrap()
+            solve(sv(&argv), &mut out).map(|()| String::from_utf8(out).unwrap())
         };
-        let batched = run("batched");
-        assert!(batched.contains("(batched kernel)"), "{batched}");
-        let precomputed = run("precomputed");
-        // Same eigenvalues line-for-line, only the kernel label differs.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("kernel"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&batched), strip(&precomputed));
-        // An adaptive shift still works: the batched kernels serve the
-        // scalar per-tensor fallback path.
-        let mut out = Vec::new();
-        solve(
-            sv(&[&path, "--starts", "4", "--kernel", "batched"]),
-            &mut out,
-        )
-        .unwrap();
-        let adaptive = String::from_utf8(out).unwrap();
-        assert!(adaptive.contains("(batched kernel)"), "{adaptive}");
+        let lanes = run(&["--shift", "2", "--kernel", "unrolled"]).unwrap();
+        assert!(lanes.contains("(lanes kernel)"), "{lanes}");
+
+        let tensors = load_batch(&path).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let starts = sshopm::starts::random_gaussian_starts::<f64, _>(4, 6, &mut rng);
+        let solver = SolverSpec::parse("sshopm").unwrap().build::<f64>(
+            Shift::Fixed(2.0),
+            IterationPolicy::Converge {
+                tol: 1e-12,
+                max_iters: 1000,
+            },
+        );
+        let precomputed = sshopm::BatchSolver::new(&*solver).with_threads(1).run(
+            &symtensor::PrecomputedTables::new(5, 4),
+            &tensors,
+            &starts,
+            &Telemetry::disabled(),
+        );
+        // Same eigenvalues line-for-line.
+        let mut want = Vec::new();
+        for (pairs, a) in precomputed.results.into_iter().zip(tensors.iter()) {
+            let spectrum = spectrum_from_pairs(a, pairs, &DedupConfig::default(), 1e-5);
+            want.extend(
+                spectrum
+                    .entries
+                    .iter()
+                    .map(|e| format!("  lambda {:>13.8}  x", e.pair.lambda)),
+            );
+        }
+        let got: Vec<&str> = lanes.lines().filter(|l| l.contains("lambda")).collect();
+        assert_eq!(got.len(), want.len(), "{lanes}");
+        for (g, w) in got.iter().zip(&want) {
+            assert!(g.starts_with(w.as_str()), "{g} vs {w}");
+        }
+
+        // An adaptive shift cannot run in lockstep: the blocked fallback
+        // serves the per-tensor path.
+        let adaptive = run(&["--kernel", "unrolled"]).unwrap();
+        assert!(adaptive.contains("(blocked kernel)"), "{adaptive}");
+        // The retired tokens are errors naming their replacement.
+        let err = run(&["--kernel", "batched"]).unwrap_err();
+        assert!(err.contains("use unrolled"), "{err}");
+        let err = run(&["--kernel", "precomputed"]).unwrap_err();
+        assert!(err.contains("use blocked"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

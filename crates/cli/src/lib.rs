@@ -35,11 +35,12 @@
 //! joined by modeled NICs). The spec is the only topology setting;
 //! `--streams K` applies only to the fault-tolerant wrapper that
 //! `--faults`/`--retry`/`--failover` select — and `--kernel` a
-//! [`backend::KernelStrategy`]
-//! (`general|blocked|precomputed|unrolled|batched|tape`, with automatic
-//! shape fallback; `batched` runs fixed-shift SS-HOPM batches in lockstep
-//! panels over the tensor arena; `tape` replays runtime-generated kernel
-//! tapes for arbitrary shapes, persisted via `--kernel-cache-dir DIR`). Every batched solve runs through the same
+//! [`backend::KernelStrategy`] (`general|blocked|unrolled|tape`, with
+//! automatic shape fallback; on shapes without a generated kernel,
+//! `unrolled` runs fixed-shift SS-HOPM batches on the CPU in lockstep
+//! lanes over the tensor arena; `tape` replays runtime-generated kernel
+//! tapes for arbitrary shapes, persisted via `--kernel-cache-dir DIR`).
+//! Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
 //! directly comparable summaries. The simulated GPU supports only fixed
 //! numeric shifts. `--solver` takes a [`sshopm::SolverSpec`] string —
@@ -225,10 +226,10 @@ pub fn usage() -> String {
      \x20 (default 2). A plain run takes streams from the spec instead, e.g.\n\
      \x20 cluster:<dev>:1:<N>:<K>.\n\
      \x20 --kernel K picks how contractions are computed: general, blocked,\n\
-     \x20 precomputed, unrolled (auto-fallback for unavailable shapes),\n\
-     \x20 batched (lane-vectorized over the tensor arena; fixed-shift sshopm\n\
-     \x20 batches additionally run in lockstep panels), or tape (runtime-\n\
-     \x20 generated kernel tapes for arbitrary shapes).\n\
+     \x20 unrolled, or tape (runtime-generated kernel tapes for arbitrary\n\
+     \x20 shapes). On a shape without a generated kernel, unrolled runs\n\
+     \x20 fixed-shift sshopm batches in lockstep lanes on cpu backends and\n\
+     \x20 falls back to blocked otherwise.\n\
      \x20 --kernel-cache-dir DIR persists generated tapes in a content-\n\
      \x20 addressed artifact cache; cache stats|clear inspects or empties it.\n\
      \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default),\n\

@@ -332,12 +332,12 @@ mod tests {
 
     #[test]
     fn lockstep_batched_solves_match_sequential_on_crossing_fixtures() {
-        // The lockstep panel driver (kernel strategy `batched` + fixed
-        // shift) must be bitwise-indistinguishable from the scalar
-        // per-tensor path on real fitted DW-MRI tensors — here a sweep of
-        // two-fiber crossing voxels across the hard low-angle range.
-        use backend::{Cpu, KernelStrategy};
-        use sshopm::SsHopm;
+        // The lockstep panel driver must be bitwise-indistinguishable from
+        // the scalar per-tensor path over the same precomputed tables on
+        // real fitted DW-MRI tensors — here a sweep of two-fiber crossing
+        // voxels across the hard low-angle range.
+        use sshopm::{BatchSolver, SsHopm};
+        use symtensor::{BatchedKernels, PrecomputedTables};
         use telemetry::Telemetry;
 
         let fitted: Vec<SymTensor<f64>> = (1..=9)
@@ -349,13 +349,22 @@ mod tests {
             tol: 1e-12,
             max_iters: 2000,
         });
-        let scalar = Cpu::new(1, KernelStrategy::Precomputed)
-            .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
-            .unwrap();
-        let lockstep = Cpu::new(1, KernelStrategy::Batched)
-            .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
-            .unwrap();
-        assert_eq!(lockstep.kernel, "batched");
+        let (m, n) = (tensors.order(), tensors.dim());
+        let scalar = BatchSolver::new(solver).solve_sequential(
+            &PrecomputedTables::new(m, n),
+            &tensors,
+            &starts,
+        );
+        let lanes = BatchedKernels::new(m, n);
+        let lockstep = sshopm::solve_batch_lockstep(
+            &lanes,
+            tensors.view(),
+            &starts,
+            1.0,
+            solver.policy(),
+            1,
+            &Telemetry::disabled(),
+        );
         assert_eq!(lockstep.total_iterations, scalar.total_iterations);
         for ((t, v, got), (_, _, want)) in lockstep.iter_flat().zip(scalar.iter_flat()) {
             assert_eq!(

@@ -26,7 +26,7 @@
 //!   fallback policy live. Callers ask for a [`KernelPlan`] for
 //!   `(m, n, scalar, strategy)` and get back a memoized, shareable kernel
 //!   object; repeated `solve_batch` calls on the same shape stop re-deriving
-//!   [`symtensor::PrecomputedTables`] and lane tables.
+//!   blocked kernels, lane tables and tapes.
 //!
 //! ```
 //! use kernelgen::{KernelRegistry, KernelStrategy};

@@ -12,9 +12,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use symtensor::{
-    BatchedKernels, BlockedKernels, GeneralKernels, PrecomputedTables, Scalar, TensorKernels,
-};
+use symtensor::{BatchedKernels, BlockedKernels, GeneralKernels, Scalar, TensorKernels};
 use unrolled::UnrolledKernels;
 
 use crate::artifact;
@@ -98,6 +96,9 @@ impl<S> std::fmt::Debug for KernelPlan<S> {
     }
 }
 
+/// Memoized kernel objects of one kind, keyed by shape.
+type ShapeMap<V> = Mutex<HashMap<(usize, usize), V>>;
+
 /// Type-erased memoized tape kernels, keyed by shape plus scalar type: the
 /// stored value is always an `Arc<TapeKernels<S>>` for the `TypeId` of `S`.
 type TapeMap = HashMap<(usize, usize, TypeId), Arc<dyn Any + Send + Sync>>;
@@ -110,8 +111,8 @@ type TapeMap = HashMap<(usize, usize, TypeId), Arc<dyn Any + Send + Sync>>;
 /// tests build private instances to keep counters isolated.
 pub struct KernelRegistry {
     cache_dir: Mutex<Option<PathBuf>>,
-    tables: Mutex<HashMap<(usize, usize), Arc<PrecomputedTables>>>,
-    batched: Mutex<HashMap<(usize, usize), Arc<BatchedKernels>>>,
+    blocked: ShapeMap<Option<Arc<BlockedKernels>>>,
+    batched: ShapeMap<Arc<BatchedKernels>>,
     tapes: Mutex<TapeMap>,
     counters: Counters,
 }
@@ -128,7 +129,7 @@ impl KernelRegistry {
     pub fn new() -> Self {
         KernelRegistry {
             cache_dir: Mutex::new(None),
-            tables: Mutex::new(HashMap::new()),
+            blocked: Mutex::new(HashMap::new()),
             batched: Mutex::new(HashMap::new()),
             tapes: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -172,7 +173,7 @@ impl KernelRegistry {
 
     /// Drop every memoized kernel object (the disk cache is untouched).
     pub fn clear_memory(&self) {
-        self.tables.lock().clear();
+        self.blocked.lock().clear();
         self.batched.lock().clear();
         self.tapes.lock().clear();
     }
@@ -199,25 +200,21 @@ impl KernelRegistry {
 
     /// Materialize kernels for `(m, n, S, strategy)`, falling back when the
     /// requested strategy has no implementation for that shape
-    /// (`Unrolled → Blocked → General`, `Tape → Blocked → General`).
-    /// Memoized kinds (`Precomputed`, `Batched`, `Tape`) return shared
-    /// `Arc`s; the zero-sized kinds are constructed inline.
+    /// (`Unrolled → Blocked`, `Tape → Blocked`, `Blocked → General` above
+    /// order 8). Blocked kernels and tapes are memoized and returned as
+    /// shared `Arc`s; the zero-sized kinds are constructed inline.
     pub fn plan<S: Scalar>(&self, m: usize, n: usize, strategy: KernelStrategy) -> KernelPlan<S> {
         match strategy {
             KernelStrategy::General => KernelPlan {
                 kernels: Arc::new(GeneralKernels),
                 effective: KernelStrategy::General,
             },
-            KernelStrategy::Blocked => match BlockedKernels::for_shape(m, n) {
+            KernelStrategy::Blocked => match self.blocked(m, n) {
                 Some(k) => KernelPlan {
-                    kernels: Arc::new(k),
+                    kernels: k,
                     effective: KernelStrategy::Blocked,
                 },
                 None => self.plan(m, n, KernelStrategy::General),
-            },
-            KernelStrategy::Precomputed => KernelPlan {
-                kernels: self.tables(m, n),
-                effective: KernelStrategy::Precomputed,
             },
             KernelStrategy::Unrolled => match UnrolledKernels::for_shape(m, n) {
                 Some(k) => KernelPlan {
@@ -225,10 +222,6 @@ impl KernelRegistry {
                     effective: KernelStrategy::Unrolled,
                 },
                 None => self.plan(m, n, KernelStrategy::Blocked),
-            },
-            KernelStrategy::Batched => KernelPlan {
-                kernels: self.batched(m, n),
-                effective: KernelStrategy::Batched,
             },
             KernelStrategy::Tape => match self.tape::<S>(m, n) {
                 Ok(k) => KernelPlan {
@@ -240,32 +233,37 @@ impl KernelRegistry {
         }
     }
 
-    /// Shared precomputed index/coefficient tables for `(m, n)` (Section
-    /// V-C), built at most once per registry.
-    pub fn tables(&self, m: usize, n: usize) -> Arc<PrecomputedTables> {
-        let mut map = self.tables.lock();
-        if let Some(t) = map.get(&(m, n)) {
-            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
-        }
-        self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let t = Arc::new(PrecomputedTables::new(m, n));
-        map.insert((m, n), t.clone());
-        t
+    /// Shared blocked kernels for `(m, n)`, built at most once per
+    /// registry; `None` (also memoized) for orders outside `1..=8`.
+    pub fn blocked(&self, m: usize, n: usize) -> Option<Arc<BlockedKernels>> {
+        self.memoized(&self.blocked, m, n, || {
+            BlockedKernels::for_shape(m, n).map(Arc::new)
+        })
     }
 
     /// Shared lane-vectorized kernels (and their lane tables) for `(m, n)`,
     /// built at most once per registry.
     pub fn batched(&self, m: usize, n: usize) -> Arc<BatchedKernels> {
-        let mut map = self.batched.lock();
-        if let Some(k) = map.get(&(m, n)) {
+        self.memoized(&self.batched, m, n, || Arc::new(BatchedKernels::new(m, n)))
+    }
+
+    /// Get-or-insert on one shape map, counting the memo hit or miss.
+    fn memoized<V: Clone>(
+        &self,
+        map: &ShapeMap<V>,
+        m: usize,
+        n: usize,
+        build: impl FnOnce() -> V,
+    ) -> V {
+        let mut map = map.lock();
+        if let Some(v) = map.get(&(m, n)) {
             self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
+            return v.clone();
         }
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let k = Arc::new(BatchedKernels::new(m, n));
-        map.insert((m, n), k.clone());
-        k
+        let v = build();
+        map.insert((m, n), v.clone());
+        v
     }
 
     /// Shared tape kernels for `(m, n, S)`: memoized in-process, loaded
@@ -356,10 +354,27 @@ mod tests {
     }
 
     #[test]
+    fn warm_blocked_plans_share_one_object() {
+        let r = KernelRegistry::new();
+        let a = r.plan::<f64>(5, 4, KernelStrategy::Unrolled);
+        let b = r.plan::<f32>(5, 4, KernelStrategy::Blocked);
+        assert_eq!(a.effective, KernelStrategy::Blocked);
+        assert!(std::ptr::eq(
+            Arc::as_ptr(&a.kernels) as *const u8,
+            Arc::as_ptr(&b.kernels) as *const u8
+        ));
+        assert_eq!((r.stats().memo_misses, r.stats().memo_hits), (1, 1));
+        // Orders above 8 memoize the miss and fall back to general.
+        assert!(r.blocked(9, 3).is_none());
+        assert!(r.blocked(9, 3).is_none());
+        assert_eq!(r.stats().memo_hits, 2);
+    }
+
+    #[test]
     fn memoized_kinds_return_the_same_object() {
         let r = KernelRegistry::new();
-        let a = r.tables(4, 3);
-        let b = r.tables(4, 3);
+        let a = r.blocked(5, 4).unwrap();
+        let b = r.blocked(5, 4).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let a = r.batched(4, 3);
         let b = r.batched(4, 3);
@@ -386,9 +401,9 @@ mod tests {
     #[test]
     fn clear_memory_forgets_memoized_objects() {
         let r = KernelRegistry::new();
-        let a = r.tables(4, 3);
+        let a = r.blocked(4, 3).unwrap();
         r.clear_memory();
-        let b = r.tables(4, 3);
+        let b = r.blocked(4, 3).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
     }
 

@@ -2,8 +2,13 @@
 //! independently of *where* the batch runs.
 //!
 //! The enum lives here (rather than in `backend`, where it started) because
-//! the [`KernelRegistry`](crate::KernelRegistry) is now the single place
+//! the [`KernelRegistry`](crate::KernelRegistry) is the single place
 //! strategy fallback policy is applied; `backend` re-exports it unchanged.
+//!
+//! There are four strategies, and a missing kernel falls back one step:
+//! `Unrolled → Blocked`, `Tape → Blocked`, and `Blocked → General` above
+//! order 8. Under `Unrolled`, the CPU backend runs fixed-shift SS-HOPM on
+//! a shape with no generated kernel in lockstep lanes (DESIGN.md §4).
 
 use std::fmt;
 
@@ -21,28 +26,18 @@ impl std::error::Error for KernelError {}
 
 /// Which `A·xᵐ` / `A·xᵐ⁻¹` implementation a backend should use.
 ///
-/// Strategies that are unavailable for a given shape fall back
-/// automatically: `Unrolled → Blocked → General` and
-/// `Tape → Blocked → General` on the CPU, and `Unrolled → General` /
-/// `Tape → General` on the simulated GPU (which has no blocked or
-/// precomputed variant). [`KernelRegistry::plan`](crate::KernelRegistry::plan)
-/// and `backend::gpu_variant` report the strategy actually chosen.
+/// Unavailable strategies fall back one step (see the module docs; the
+/// simulated GPU, which has no blocked variant, falls back to `General`).
+/// [`KernelRegistry::plan`](crate::KernelRegistry::plan) and
+/// `backend::gpu_variant` report the strategy actually chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelStrategy {
     /// On-the-fly index/coefficient computation (works for every shape).
     General,
     /// Const-generic blocked kernels (orders 1–8, any dimension).
     Blocked,
-    /// Section V-C precomputed index/coefficient tables.
-    Precomputed,
     /// Straight-line generated kernels (build.rs `GENERATED_SHAPES` only).
     Unrolled,
-    /// Lane-vectorized kernels over the packed `TensorBatch` arena
-    /// ([`symtensor::BatchedKernels`]). Per-tensor calls share the lane
-    /// tables; fixed-shift SS-HOPM batches additionally run the lockstep
-    /// panel driver that updates [`symtensor::LANE_WIDTH`] tensors per
-    /// table walk.
-    Batched,
     /// Runtime-generated kernel tape ([`crate::TapeKernels`]): the unrolled
     /// straight-line structure emitted as data for *any* small shape, loaded
     /// through the content-addressed artifact cache.
@@ -51,12 +46,10 @@ pub enum KernelStrategy {
 
 impl KernelStrategy {
     /// All strategies, for sweeps and tests.
-    pub const ALL: [KernelStrategy; 6] = [
+    pub const ALL: [KernelStrategy; 4] = [
         KernelStrategy::General,
         KernelStrategy::Blocked,
-        KernelStrategy::Precomputed,
         KernelStrategy::Unrolled,
-        KernelStrategy::Batched,
         KernelStrategy::Tape,
     ];
 
@@ -65,29 +58,34 @@ impl KernelStrategy {
         match self {
             KernelStrategy::General => "general",
             KernelStrategy::Blocked => "blocked",
-            KernelStrategy::Precomputed => "precomputed",
             KernelStrategy::Unrolled => "unrolled",
-            KernelStrategy::Batched => "batched",
             KernelStrategy::Tape => "tape",
         }
     }
 
-    /// Parse a CLI token (`general`, `blocked`, `precomputed`, `unrolled`,
-    /// `batched`, `tape`).
+    /// Parse a CLI token (`general`, `blocked`, `unrolled`, `tape`). The
+    /// retired tokens `batched` and `precomputed` are errors naming their
+    /// replacement.
     pub fn parse(s: &str) -> Result<Self, KernelError> {
         match s {
             "general" => Ok(KernelStrategy::General),
             "blocked" => Ok(KernelStrategy::Blocked),
-            "precomputed" => Ok(KernelStrategy::Precomputed),
             "unrolled" => Ok(KernelStrategy::Unrolled),
-            "batched" => Ok(KernelStrategy::Batched),
             "tape" => Ok(KernelStrategy::Tape),
+            "batched" => Err(removed(s, "unrolled, which picks lockstep lanes by shape")),
+            "precomputed" => Err(removed(s, "blocked, which is faster per call")),
             other => Err(KernelError(format!(
                 "unknown kernel strategy {other:?}: expected one of general, blocked, \
-                 precomputed, unrolled, batched, tape"
+                 unrolled, tape"
             ))),
         }
     }
+}
+
+fn removed(token: &str, replacement: &str) -> KernelError {
+    KernelError(format!(
+        "kernel strategy {token:?} was removed: use {replacement}"
+    ))
 }
 
 impl fmt::Display for KernelStrategy {
@@ -122,5 +120,13 @@ mod tests {
     fn parse_error_lists_tape() {
         let err = KernelStrategy::parse("nope").unwrap_err();
         assert!(err.0.contains("tape"), "{err}");
+    }
+
+    #[test]
+    fn retired_tokens_name_their_replacement() {
+        let err = KernelStrategy::parse("batched").unwrap_err();
+        assert!(err.0.contains("use unrolled"), "{err}");
+        let err = KernelStrategy::parse("precomputed").unwrap_err();
+        assert!(err.0.contains("use blocked"), "{err}");
     }
 }

@@ -14,8 +14,9 @@
 //! Lockstep execution requires a state-independent update rule, so the
 //! driver accepts exactly the solvers whose [`Solver::fixed_shift`]
 //! reports `Some` (fixed-shift SS-HOPM — the paper's GPU setting);
-//! adaptive solvers fall back to the scalar path, with the batched
-//! kernels still serving per-tensor products.
+//! adaptive solvers stay on the per-tensor [`crate::BatchSolver`]. The
+//! CPU backend picks this driver by shape: under the `unrolled` strategy,
+//! for shapes with no generated kernel.
 
 use crate::batch::BatchResult;
 use crate::solver::{Eigenpair, IterationPolicy};
@@ -301,7 +302,7 @@ mod tests {
     use crate::starts::random_uniform_starts;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use symtensor::{PrecomputedTables, TensorBatch};
+    use symtensor::{PrecomputedTables, SymTensor, TensorBatch};
 
     fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f64>, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -474,6 +475,55 @@ mod tests {
             Some(10)
         );
         assert_eq!(snap.span("batch.solve").map(|s| s.count), Some(1));
+    }
+
+    #[test]
+    fn kolda_mayo_example_3_6_maxima_in_lockstep() {
+        // Kolda & Mayo, Example 3.6: the Kofidis–Regalia tensor
+        // A ∈ ℝ^[4,3], unique entries in the storage's lexicographic
+        // index-class order. With α = 2, SS-HOPM finds exactly the three
+        // published local maxima; each x is an eigenvector up to sign.
+        let a = SymTensor::from_values(
+            4,
+            3,
+            vec![
+                0.2883, -0.0031, 0.1973, -0.2485, -0.2939, 0.3847, 0.2972, 0.1862, 0.0919, -0.3619,
+                0.1241, -0.3420, 0.2127, 0.2727, -0.3054,
+            ],
+        )
+        .unwrap();
+        let maxima: [(f64, [f64; 3]); 3] = [
+            (0.8893, [0.6672, 0.2471, -0.7027]),
+            (0.8169, [0.8412, -0.2635, 0.4722]),
+            (0.3633, [0.2676, 0.6448, 0.7160]),
+        ];
+        let tensors = TensorBatch::from_tensors(&[a]).unwrap();
+        let mut rng = StdRng::seed_from_u64(36);
+        let starts = random_uniform_starts(3, 128, &mut rng);
+        let policy = IterationPolicy::Converge {
+            tol: 1e-12,
+            max_iters: 5000,
+        };
+        let kernels = BatchedKernels::new(4, 3);
+        let res = solve_batch_lockstep(
+            &kernels,
+            tensors.view(),
+            &starts,
+            2.0,
+            policy,
+            1,
+            &Telemetry::disabled(),
+        );
+        let mut found = [0usize; 3];
+        for pair in res.results[0].iter().filter(|p| p.converged) {
+            let which = maxima.iter().position(|(lambda, x)| {
+                let close = |sign: f64| (0..3).all(|i| (pair.x[i] - sign * x[i]).abs() < 1e-4);
+                (pair.lambda - lambda).abs() < 1e-4 && (close(1.0) || close(-1.0))
+            });
+            let which = which.unwrap_or_else(|| panic!("not a published maximum: {pair:?}"));
+            found[which] += 1;
+        }
+        assert!(found.iter().all(|&k| k > 0), "basin counts {found:?}");
     }
 
     #[test]

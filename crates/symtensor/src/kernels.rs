@@ -25,10 +25,10 @@ use crate::storage::{SymTensor, SymTensorRef};
 
 /// A strategy for evaluating the two SS-HOPM kernels on packed symmetric
 /// tensors. Implemented by the on-the-fly [`GeneralKernels`], the
-/// table-driven [`PrecomputedTables`], the lockstep
-/// [`crate::lanes::BatchedKernels`], and (in the `unrolled` crate) the
-/// compile-time fully-unrolled kernels — letting the power-method driver and
-/// the benchmark harness swap implementations without code changes.
+/// table-driven [`PrecomputedTables`], the const-generic blocked kernels,
+/// and (in the `unrolled` crate) the compile-time fully-unrolled kernels —
+/// letting the power-method driver and the benchmark harness swap
+/// implementations without code changes.
 ///
 /// Methods take borrowed [`SymTensorRef`] views, so a tensor living inside a
 /// [`crate::TensorBatch`] arena is evaluated in place — no owned

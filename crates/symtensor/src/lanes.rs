@@ -20,7 +20,7 @@
 
 use crate::batch::TensorBatchRef;
 use crate::error::{Error, Result};
-use crate::kernels::{check_shape, check_vec, PrecomputedTables, TensorKernels};
+use crate::kernels::{check_shape, check_vec, PrecomputedTables};
 use crate::multinomial::multinomial1_from_stored;
 use crate::scalar::Scalar;
 use crate::storage::SymTensorRef;
@@ -32,11 +32,8 @@ use crate::storage::SymTensorRef;
 pub const LANE_WIDTH: usize = 8;
 
 /// The lockstep kernel family: shared per-shape tables plus the panel
-/// evaluation routines.
-///
-/// As a [`TensorKernels`] implementation it falls back to the scalar
-/// table-driven kernels (name `"batched"`), so adaptive solvers that cannot
-/// run in lockstep still work with `--kernel batched`.
+/// evaluation routines. It has no per-tensor [`crate::TensorKernels`]
+/// form: a single tensor goes through [`Self::tables`] directly.
 #[derive(Debug, Clone)]
 pub struct BatchedKernels {
     tables: PrecomputedTables,
@@ -66,20 +63,6 @@ impl BatchedKernels {
     #[inline]
     pub fn tables(&self) -> &PrecomputedTables {
         &self.tables
-    }
-}
-
-impl<S: Scalar> TensorKernels<S> for BatchedKernels {
-    fn axm(&self, a: SymTensorRef<'_, S>, x: &[S]) -> Result<S> {
-        self.tables.axm(a, x)
-    }
-
-    fn axm1(&self, a: SymTensorRef<'_, S>, x: &[S], y: &mut [S]) -> Result<()> {
-        self.tables.axm1(a, x, y)
-    }
-
-    fn name(&self) -> &'static str {
-        "batched"
     }
 }
 
@@ -248,7 +231,6 @@ impl<S: Scalar> LanePanel<S> {
 mod tests {
     use super::*;
     use crate::batch::TensorBatch;
-    use crate::storage::SymTensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -353,20 +335,6 @@ mod tests {
         for (x, y) in a.soa.iter().zip(&b.soa) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn scalar_fallback_matches_precomputed_and_reports_name() {
-        let kernels = BatchedKernels::new(4, 3);
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = SymTensor::<f64>::random(4, 3, &mut rng);
-        let x = [0.3, -0.6, 0.74];
-        let via_batched = TensorKernels::axm(&kernels, a.view(), &x).unwrap();
-        let via_tables = kernels.tables().axm(&a, &x).unwrap();
-        assert_eq!(via_batched.to_bits(), via_tables.to_bits());
-        assert_eq!(TensorKernels::<f64>::name(&kernels), "batched");
-        let wrong = SymTensor::<f64>::random(3, 3, &mut rng);
-        assert!(TensorKernels::axm(&kernels, wrong.view(), &x).is_err());
     }
 
     #[test]
