@@ -9,7 +9,6 @@ use sshopm::Solver;
 use std::time::Instant;
 use symtensor::{flops, Scalar, TensorBatch};
 use telemetry::Telemetry;
-use unrolled::UnrolledKernels;
 
 /// An execution substrate for the paper's batched SS-HOPM workload: many
 /// same-shaped tensors, each solved from a shared set of starting vectors.
@@ -127,10 +126,13 @@ pub(crate) fn kernel_cache_delta(
 /// strictly sequential on the calling thread with no thread pool
 /// involved; otherwise rayon `par_iter` over tensors (the OpenMP rows).
 ///
-/// Under [`KernelStrategy::Unrolled`], a fixed-shift SS-HOPM batch whose
-/// shape has no generated kernel runs in lockstep lanes
-/// ([`sshopm::solve_batch_lockstep`]) and reports kernel `lanes`; every
-/// other combination runs the per-tensor driver on the registry's plan.
+/// Under [`KernelStrategy::Unrolled`], every fixed-shift SS-HOPM batch
+/// runs in lockstep lanes ([`sshopm::solve_batch_lockstep`] on
+/// [`KernelRegistry::batched`]) and reports kernel `unrolled-lanes` when
+/// the shape has generated lane bodies, `lanes` when the lanes walk the
+/// shape's tables; every other combination (adaptive and convex shifts,
+/// GEAP, QRST, the other strategies) runs the per-tensor driver on the
+/// registry's plan.
 #[derive(Debug, Clone, Copy)]
 pub struct Cpu {
     /// Worker threads: `1` = sequential on the calling thread, `0` = the
@@ -172,12 +174,16 @@ impl<S: Scalar> SolveBackend<S> for Cpu {
         let (m, n) = (batch.order(), batch.dim());
         let registry = KernelRegistry::global();
         let cache_before = registry.stats();
-        let no_generated_kernel =
-            self.strategy == KernelStrategy::Unrolled && UnrolledKernels::for_shape(m, n).is_none();
-        let lane_alpha = sshopm::lockstep_alpha(solver).filter(|_| no_generated_kernel);
+        let lane_alpha =
+            sshopm::lockstep_alpha(solver).filter(|_| self.strategy == KernelStrategy::Unrolled);
         let (result, kernel, seconds) = match lane_alpha {
             Some(alpha) => {
                 let lanes = registry.batched(m, n);
+                let kernel = if lanes.is_generated() {
+                    "unrolled-lanes"
+                } else {
+                    "lanes"
+                };
                 let started = Instant::now();
                 let result = sshopm::solve_batch_lockstep(
                     &lanes,
@@ -188,7 +194,7 @@ impl<S: Scalar> SolveBackend<S> for Cpu {
                     self.threads,
                     telemetry,
                 );
-                (result, "lanes", started.elapsed().as_secs_f64())
+                (result, kernel, started.elapsed().as_secs_f64())
             }
             None => {
                 let plan = registry.plan::<S>(m, n, self.strategy);

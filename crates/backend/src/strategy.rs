@@ -8,9 +8,9 @@
 //! `Blocked → General` above order 8) instead of boxing a fresh kernel per
 //! call. This module re-exports those types so `backend::KernelStrategy`
 //! keeps working, and adds the one mapping that is backend-specific:
-//! strategy → simulated-GPU kernel variant. The other shape-driven choice,
-//! lockstep lanes for fixed-shift SS-HOPM under `Unrolled` on shapes
-//! without a generated kernel, is made by [`crate::Cpu`].
+//! strategy → simulated-GPU kernel variant. The lane choice — lockstep
+//! lanes for fixed-shift SS-HOPM under `Unrolled` — is made by
+//! [`crate::Cpu`].
 
 pub use kernelgen::{KernelPlan, KernelRegistry, KernelStrategy};
 

@@ -1,7 +1,7 @@
-//! The CPU backend reads the lane driver off the shape: under `unrolled`,
-//! a fixed-shift SS-HOPM batch whose shape has no generated kernel runs
-//! in lockstep lanes, and every other combination keeps the per-tensor
-//! driver on the registry's plan.
+//! The CPU backend runs every fixed-shift SS-HOPM batch under `unrolled`
+//! in lockstep lanes — generated lane bodies where the shape has them
+//! (`unrolled-lanes`), the table walk otherwise (`lanes`) — and every other
+//! combination keeps the per-tensor driver on the registry's plan.
 
 use backend::{BatchReport, Cpu, KernelRegistry, KernelStrategy, SolveBackend};
 use rand::SeedableRng;
@@ -79,10 +79,11 @@ fn unrolled_picks_the_kernel_path_by_shape_and_solver() {
         &per_tensor(&geap, &*plan.kernels, &tensors, &starts),
     );
 
-    // (4,3) has a generated kernel: scalar unrolled, as before.
+    // (4,3) has a generated kernel: generated lane bodies, each lane bit
+    // for bit the scalar unrolled kernel.
     let (tensors, starts) = workload(4, 3, 43);
     let unrolled = solve_unrolled(&tensors, &starts, &fixed);
-    assert_eq!(unrolled.kernel, "unrolled");
+    assert_eq!(unrolled.kernel, "unrolled-lanes");
     let kernels = UnrolledKernels::for_shape(4, 3).unwrap();
     assert_bitwise(&unrolled, &per_tensor(&fixed, &kernels, &tensors, &starts));
 }
@@ -161,4 +162,77 @@ fn odeco_5_4_recovers_weights_and_vectors_through_lanes() {
     }
     // Every (wᵢ, vᵢ) is recovered.
     assert!(found[..4].iter().all(|&k| k > 0), "basin counts {found:?}");
+}
+
+/// Kolda & Mayo, Example 3.6: the Kofidis–Regalia tensor A ∈ ℝ^[4,3], unique
+/// entries in the storage's lexicographic index-class order, solved
+/// through the CPU backend's generated lanes from 1000 seeded starts.
+/// α = 2 finds exactly the three published local maxima (x up to sign);
+/// α = −2 finds exactly the three published local minima.
+#[test]
+fn kolda_mayo_example_3_6_through_unrolled_lanes() {
+    let a = symtensor::SymTensor::from_values(
+        4,
+        3,
+        vec![
+            0.2883, -0.0031, 0.1973, -0.2485, -0.2939, 0.3847, 0.2972, 0.1862, 0.0919, -0.3619,
+            0.1241, -0.3420, 0.2127, 0.2727, -0.3054,
+        ],
+    )
+    .unwrap();
+    let tensors = TensorBatch::from_tensors(std::slice::from_ref(&a)).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+    let starts = starts::random_uniform_starts::<f64, _>(3, 1000, &mut rng);
+    let solve = |alpha: f64| {
+        let solver = SsHopm::new(Shift::Fixed(alpha)).with_policy(IterationPolicy::Converge {
+            tol: 1e-12,
+            max_iters: 5000,
+        });
+        let report = Cpu::new(1, KernelStrategy::Unrolled)
+            .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
+            .unwrap();
+        assert_eq!(report.kernel, "unrolled-lanes");
+        report.results.into_iter().next().unwrap()
+    };
+
+    let maxima: [(f64, [f64; 3]); 3] = [
+        (0.8893, [0.6672, 0.2471, -0.7027]),
+        (0.8169, [0.8412, -0.2635, 0.4722]),
+        (0.3633, [0.2676, 0.6448, 0.7160]),
+    ];
+    let mut found = [0usize; 3];
+    for pair in solve(2.0).iter().filter(|p| p.converged) {
+        let which = maxima.iter().position(|(lambda, x)| {
+            let close = |sign: f64| (0..3).all(|i| (pair.x[i] - sign * x[i]).abs() < 1e-4);
+            (pair.lambda - lambda).abs() < 1e-4 && (close(1.0) || close(-1.0))
+        });
+        let which = which.unwrap_or_else(|| panic!("not a published maximum: {pair:?}"));
+        found[which] += 1;
+    }
+    assert!(
+        found.iter().all(|&k| k > 0),
+        "maxima basin counts {found:?}"
+    );
+
+    let minima = [-0.0451, -0.5629, -1.0954];
+    let mut found = [0usize; 3];
+    for pair in solve(-2.0).iter().filter(|p| p.converged) {
+        let which = minima
+            .iter()
+            .position(|lambda| (pair.lambda - lambda).abs() < 1e-4);
+        let which = which.unwrap_or_else(|| panic!("not a published minimum: {pair:?}"));
+        found[which] += 1;
+        // And x is its eigenvector: A·x³ = λx.
+        let mut y = [0.0; 3];
+        symtensor::kernels::axm1(&a, &pair.x, &mut y).unwrap();
+        let residual: f64 = (0..3)
+            .map(|i| (y[i] - pair.lambda * pair.x[i]).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        assert!(residual < 1e-6, "residual {residual} at {pair:?}");
+    }
+    assert!(
+        found.iter().all(|&k| k > 0),
+        "minima basin counts {found:?}"
+    );
 }

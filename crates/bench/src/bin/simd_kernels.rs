@@ -1,7 +1,8 @@
-//! Multi-tensor kernel throughput: lane-vectorized batched kernels vs the
-//! per-tensor blocked kernels, on millions of `(4, 3)` tensors.
+//! Multi-tensor kernel throughput: the lockstep lane kernels the registry
+//! serves for `(4, 3)` vs the per-tensor scalar `unrolled` kernels, on
+//! millions of `(4, 3)` tensors.
 //!
-//! This is the regime the lockstep refactor targets (Section VI of the
+//! This is the regime the lockstep driver targets (Section VI of the
 //! paper: millions of independent small tensors of one shape). Both paths
 //! evaluate `A·xᵐ` and `A·xᵐ⁻¹` for every tensor of one packed
 //! [`TensorBatch`] arena, [`REPS`] times over — modeling the SS-HOPM
@@ -9,20 +10,19 @@
 //! amortized over every subsequent kernel call exactly as in
 //! `sshopm::solve_batch_lockstep`:
 //!
-//! * **blocked** — the scalar per-tensor kernels, one arena view at a
-//!   time (the fastest pre-lane per-tensor path);
-//! * **batched** — [`LanePanel::gather`] per [`LANE_WIDTH`] tensors
-//!   (inside the timed region), then the lockstep panel kernels.
+//! * **unrolled** — the generated straight-line scalar kernels, one arena
+//!   view at a time (the strongest per-tensor `(4, 3)` path);
+//! * **lanes** — what `KernelRegistry::batched(4, 3)` serves (the
+//!   generated lane bodies): [`LanePanel::gather`] per [`LANE_WIDTH`]
+//!   tensors (inside the timed region), then the panel kernels.
 //!
-//! Correctness is pinned inside the bench itself: the batched path must
-//! be *bitwise* identical to the scalar precomputed tables on a prefix of
-//! the batch, and the two throughput paths must agree on an absolute-value
-//! checksum (blocked reorders sums, so bitwise equality is not expected
-//! there).
+//! Correctness is pinned inside the bench itself: the lane path must be
+//! *bitwise* identical to scalar unrolled on a prefix of the batch, and
+//! the two throughput paths must agree on an absolute-value checksum.
 //!
-//! Writes `BENCH_simd_kernels.json`; exits nonzero if the batched path is
-//! not at least [`MIN_SPEEDUP`]× the blocked path on `axm1` throughput at
-//! the 1M-tensor size.
+//! Writes `BENCH_simd_kernels.json`; exits nonzero if the lane path is
+//! not at least [`MIN_SPEEDUP`]× the scalar unrolled path on `axm1`
+//! throughput at the 1M-tensor size.
 //!
 //! Run with: `cargo run --release -p bench --bin simd_kernels [-- --full]`
 
@@ -45,7 +45,8 @@ const SEED: u64 = 2026;
 /// the amortized regime).
 const REPS: usize = 8;
 
-/// Acceptance floor: batched `axm1` throughput over blocked at 1M tensors.
+/// Acceptance floor: lane `axm1` throughput over scalar unrolled at 1M
+/// tensors.
 const MIN_SPEEDUP: f64 = 1.2;
 
 /// Best-of-N trials per measurement to shed scheduler noise.
@@ -67,7 +68,7 @@ impl Measured {
 }
 
 /// `A·xᵐ⁻¹` over the whole arena, one tensor at a time, `REPS` passes.
-fn blocked_axm1(kernels: &dyn TensorKernels<f32>, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
+fn scalar_axm1(kernels: &dyn TensorKernels<f32>, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
     let mut y = vec![0.0f32; N];
     let mut checksum = 0.0f64;
     let started = Instant::now();
@@ -84,7 +85,7 @@ fn blocked_axm1(kernels: &dyn TensorKernels<f32>, batch: &TensorBatch<f32>, x: &
 }
 
 /// `A·xᵐ` over the whole arena, one tensor at a time, `REPS` passes.
-fn blocked_axm(kernels: &dyn TensorKernels<f32>, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
+fn scalar_axm(kernels: &dyn TensorKernels<f32>, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
     let mut checksum = 0.0f64;
     let started = Instant::now();
     for _ in 0..REPS {
@@ -110,7 +111,7 @@ fn broadcast_lanes(x: &[f32]) -> Vec<f32> {
 
 /// Lockstep `A·xᵐ⁻¹`: gather each panel once (timed — it is part of the
 /// real pipeline), then run `REPS` panel kernels against it.
-fn batched_axm1(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
+fn lanes_axm1(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
     let xs = broadcast_lanes(x);
     let mut ys = vec![0.0f32; N * LANE_WIDTH];
     let mut checksum = 0.0f64;
@@ -136,8 +137,8 @@ fn batched_axm1(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -
     Measured { seconds, checksum }
 }
 
-/// Lockstep `A·xᵐ`, same structure as [`batched_axm1`].
-fn batched_axm(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
+/// Lockstep `A·xᵐ`, same structure as [`lanes_axm1`].
+fn lanes_axm(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
     let xs = broadcast_lanes(x);
     let mut out = [0.0f32; LANE_WIDTH];
     let mut checksum = 0.0f64;
@@ -172,11 +173,13 @@ fn best_of<F: FnMut() -> Measured>(mut f: F) -> Measured {
     best
 }
 
-/// Bitwise parity of the lane kernels against the scalar precomputed
-/// tables on the first `prefix` tensors — the same guarantee the lockstep
-/// solver's parity suite rests on, re-checked on this bench's workload.
+/// Bitwise parity of the lane kernels against the scalar unrolled
+/// kernels on the first `prefix` tensors — the same guarantee the
+/// lockstep solver's parity suite rests on, re-checked on this bench's
+/// workload.
 fn check_bitwise_prefix(
-    kernels: &BatchedKernels,
+    lanes: &BatchedKernels,
+    scalar: &dyn TensorKernels<f32>,
     batch: &TensorBatch<f32>,
     x: &[f32],
     prefix: usize,
@@ -189,19 +192,12 @@ fn check_bitwise_prefix(
     while start < prefix.min(batch.len()) {
         let width = LANE_WIDTH.min(batch.len() - start);
         let panel =
-            LanePanel::gather(kernels, batch.view(), start, width).expect("bench shapes match");
-        panel
-            .axm1(kernels, &xs, &mut ys)
-            .expect("lane buffers sized");
-        panel
-            .axm(kernels, &xs, &mut out)
-            .expect("lane buffers sized");
+            LanePanel::gather(lanes, batch.view(), start, width).expect("bench shapes match");
+        panel.axm1(lanes, &xs, &mut ys).expect("lane buffers sized");
+        panel.axm(lanes, &xs, &mut out).expect("lane buffers sized");
         for w in 0..width {
             let a = batch.view().try_get(start + w).expect("index in range");
-            kernels
-                .tables()
-                .axm1(a, x, &mut want_y)
-                .expect("shapes match");
+            scalar.axm1(a, x, &mut want_y).expect("shapes match");
             for i in 0..N {
                 assert_eq!(
                     ys[i * LANE_WIDTH + w].to_bits(),
@@ -210,7 +206,7 @@ fn check_bitwise_prefix(
                     start + w
                 );
             }
-            let want = kernels.tables().axm(a, x).expect("shapes match");
+            let want = scalar.axm(a, x).expect("shapes match");
             assert_eq!(
                 out[w].to_bits(),
                 want.to_bits(),
@@ -239,40 +235,42 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "SIMD kernel throughput: lane-vectorized batched vs per-tensor blocked\n\
+        "SIMD kernel throughput: registry lanes vs per-tensor scalar unrolled\n\
          (m={M}, n={N}, f32, {REPS} kernel calls per tensor per pass, best of {TRIALS})\n"
     );
     println!(
         "{:>10} {:>6} {:>16} {:>16} {:>9}",
-        "tensors", "op", "blocked Mt/s", "batched Mt/s", "speedup"
+        "tensors", "op", "unrolled Mt/s", "lanes Mt/s", "speedup"
     );
 
+    let registry = backend::KernelRegistry::global();
     let mut size_values = Vec::new();
     let mut accept = true;
     for &t in sizes {
         let mut rng = StdRng::seed_from_u64(SEED);
         let batch = TensorBatch::<f32>::random(M, N, t, &mut rng).expect("paper shape is valid");
         let x: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..=1.0)).collect();
-        let plan = backend::KernelRegistry::global().plan::<f32>(M, N, KernelStrategy::Blocked);
-        let blocked = plan.kernels;
+        let plan = registry.plan::<f32>(M, N, KernelStrategy::Unrolled);
+        let scalar = plan.kernels;
         assert_eq!(
             plan.effective,
-            KernelStrategy::Blocked,
-            "(4,3) is a blocked shape"
+            KernelStrategy::Unrolled,
+            "(4,3) is a generated shape"
         );
-        let batched = BatchedKernels::new(M, N);
+        let lanes = registry.batched(M, N);
+        assert!(lanes.is_generated(), "(4,3) lanes are generated bodies");
 
-        check_bitwise_prefix(&batched, &batch, &x, 4096);
+        check_bitwise_prefix(&lanes, &*scalar, &batch, &x, 4096);
 
         // Warm up on a prefix (page in the arena, settle the clocks).
         let warm = batch.slice(0..t.min(65_536)).to_owned();
-        let _ = blocked_axm1(&*blocked, &warm, &x);
-        let _ = batched_axm1(&batched, &warm, &x);
+        let _ = scalar_axm1(&*scalar, &warm, &x);
+        let _ = lanes_axm1(&lanes, &warm, &x);
 
-        let b1 = best_of(|| blocked_axm1(&*blocked, &batch, &x));
-        let l1 = best_of(|| batched_axm1(&batched, &batch, &x));
-        let b0 = best_of(|| blocked_axm(&*blocked, &batch, &x));
-        let l0 = best_of(|| batched_axm(&batched, &batch, &x));
+        let b1 = best_of(|| scalar_axm1(&*scalar, &batch, &x));
+        let l1 = best_of(|| lanes_axm1(&lanes, &batch, &x));
+        let b0 = best_of(|| scalar_axm(&*scalar, &batch, &x));
+        let l0 = best_of(|| lanes_axm(&lanes, &batch, &x));
 
         for (name, a, b) in [("axm1", &b1, &l1), ("axm", &b0, &l0)] {
             let scale = 1.0 + a.checksum.abs();
@@ -308,10 +306,10 @@ fn main() -> ExitCode {
         }
         size_values.push(Value::object(vec![
             ("tensors", Value::UInt(t as u64)),
-            ("blocked_axm1", measured_value(&b1, t)),
-            ("batched_axm1", measured_value(&l1, t)),
-            ("blocked_axm", measured_value(&b0, t)),
-            ("batched_axm", measured_value(&l0, t)),
+            ("unrolled_axm1", measured_value(&b1, t)),
+            ("lanes_axm1", measured_value(&l1, t)),
+            ("unrolled_axm", measured_value(&b0, t)),
+            ("lanes_axm", measured_value(&l0, t)),
             ("speedup_axm1", Value::Float(speedup_axm1)),
             ("speedup_axm", Value::Float(speedup_axm)),
         ]));
@@ -338,10 +336,14 @@ fn main() -> ExitCode {
     );
 
     if accept {
-        println!("\nACCEPT: batched >= {MIN_SPEEDUP}x blocked on axm1 throughput at 1M tensors");
+        println!(
+            "\nACCEPT: lanes >= {MIN_SPEEDUP}x scalar unrolled on axm1 throughput at 1M tensors"
+        );
         ExitCode::SUCCESS
     } else {
-        eprintln!("\nFAIL: batched < {MIN_SPEEDUP}x blocked on axm1 throughput at 1M tensors");
+        eprintln!(
+            "\nFAIL: lanes < {MIN_SPEEDUP}x scalar unrolled on axm1 throughput at 1M tensors"
+        );
         ExitCode::FAILURE
     }
 }

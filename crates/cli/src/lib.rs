@@ -36,9 +36,9 @@
 //! `--streams K` applies only to the fault-tolerant wrapper that
 //! `--faults`/`--retry`/`--failover` select — and `--kernel` a
 //! [`backend::KernelStrategy`] (`general|blocked|unrolled|tape`, with
-//! automatic shape fallback; on shapes without a generated kernel,
-//! `unrolled` runs fixed-shift SS-HOPM batches on the CPU in lockstep
-//! lanes over the tensor arena; `tape` replays runtime-generated kernel
+//! automatic shape fallback; `unrolled` runs fixed-shift SS-HOPM
+//! batches on the CPU in lockstep lanes over the tensor arena — generated
+//! lane bodies on the generated shapes, table lanes elsewhere; `tape` replays runtime-generated kernel
 //! tapes for arbitrary shapes, persisted via `--kernel-cache-dir DIR`).
 //! Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
@@ -227,9 +227,10 @@ pub fn usage() -> String {
      \x20 cluster:<dev>:1:<N>:<K>.\n\
      \x20 --kernel K picks how contractions are computed: general, blocked,\n\
      \x20 unrolled, or tape (runtime-generated kernel tapes for arbitrary\n\
-     \x20 shapes). On a shape without a generated kernel, unrolled runs\n\
-     \x20 fixed-shift sshopm batches in lockstep lanes on cpu backends and\n\
-     \x20 falls back to blocked otherwise.\n\
+     \x20 shapes). On cpu backends, unrolled runs fixed-shift sshopm\n\
+     \x20 batches in lockstep lanes (generated lane bodies where the shape\n\
+     \x20 has them, table lanes otherwise); other solvers use the scalar\n\
+     \x20 kernels, falling back to blocked on shapes without one.\n\
      \x20 --kernel-cache-dir DIR persists generated tapes in a content-\n\
      \x20 addressed artifact cache; cache stats|clear inspects or empties it.\n\
      \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default),\n\

@@ -241,10 +241,14 @@ impl KernelRegistry {
         })
     }
 
-    /// Shared lane-vectorized kernels (and their lane tables) for `(m, n)`,
-    /// built at most once per registry.
+    /// Shared lockstep lane kernels for `(m, n)`, built at most once per
+    /// registry: the generated straight-line lane bodies when the shape
+    /// has them ([`unrolled::lane_kernels`]), the table-walking lanes
+    /// otherwise.
     pub fn batched(&self, m: usize, n: usize) -> Arc<BatchedKernels> {
-        self.memoized(&self.batched, m, n, || Arc::new(BatchedKernels::new(m, n)))
+        self.memoized(&self.batched, m, n, || {
+            Arc::new(unrolled::lane_kernels(m, n).unwrap_or_else(|| BatchedKernels::new(m, n)))
+        })
     }
 
     /// Get-or-insert on one shape map, counting the memo hit or miss.

@@ -7,8 +7,9 @@
 //!
 //! There are four strategies, and a missing kernel falls back one step:
 //! `Unrolled → Blocked`, `Tape → Blocked`, and `Blocked → General` above
-//! order 8. Under `Unrolled`, the CPU backend runs fixed-shift SS-HOPM on
-//! a shape with no generated kernel in lockstep lanes (DESIGN.md §4).
+//! order 8. Under `Unrolled`, the CPU backend runs fixed-shift SS-HOPM in
+//! lockstep lanes from [`KernelRegistry::batched`](crate::KernelRegistry::batched)
+//! (DESIGN.md §4).
 
 use std::fmt;
 

@@ -8,15 +8,27 @@
 //! the way Schatz et al. block symmetric contractions: gather each
 //! unique-entry stride across a panel of `W` tensors into a
 //! structure-of-arrays lane buffer (one transpose per panel, amortized over
-//! every subsequent kernel call), walk the shared per-shape tables once per
-//! *class*, and update all `W` accumulators per step. The inner `W`-wide
-//! loops carry no cross-lane dependencies, so they autovectorize — and the
+//! every subsequent kernel call) of [`LaneRow`]s, and evaluate each
+//! contraction for all `W` lanes in one call. The `W`-wide steps carry no
+//! cross-lane dependencies, so they vectorize — and the
 //! dependent-accumulation chain of the scalar kernel is broken `W` ways.
 //!
-//! Per-lane arithmetic is ordered exactly as in
-//! [`PrecomputedTables::axm`]/[`PrecomputedTables::axm1`], so each lane's
-//! result is bitwise identical to the scalar table-driven kernel — the
-//! lockstep SS-HOPM driver in `sshopm` relies on this for its parity suite.
+//! A [`LaneKernel`] is one of two things:
+//!
+//! * the shape's [`PrecomputedTables`], walked once per panel; per-lane
+//!   arithmetic is ordered exactly as in
+//!   [`PrecomputedTables::axm`]/[`PrecomputedTables::axm1`], so each lane
+//!   is bitwise the scalar table-driven kernel;
+//! * generated straight-line [`LaneBodies`] (the `unrolled` crate emits
+//!   them for its generated shapes), each lane bitwise the scalar unrolled
+//!   kernel.
+//!
+//! [`BatchedKernels`] carries the tables and, when the shape has them,
+//! the generated bodies; [`LanePanel::axm`]/[`LanePanel::axm1`] use the
+//! bodies when present. The lockstep SS-HOPM driver in `sshopm` relies on
+//! the per-lane bitwise identities for its parity suite.
+
+use std::any::Any;
 
 use crate::batch::TensorBatchRef;
 use crate::error::{Error, Result};
@@ -27,23 +39,155 @@ use crate::storage::SymTensorRef;
 
 /// Number of tensors evaluated in lockstep by one [`LanePanel`].
 ///
-/// Eight lanes of `f64` fill a 512-bit vector register (two 256-bit ones on
-/// AVX2); the tail panel of a batch simply runs with zero-padded lanes.
+/// Eight lanes of `f32` fill one 256-bit AVX2 register (two for `f64`);
+/// the tail panel of a batch simply runs with zero-padded lanes.
 pub const LANE_WIDTH: usize = 8;
 
-/// The lockstep kernel family: shared per-shape tables plus the panel
-/// evaluation routines. It has no per-tensor [`crate::TensorKernels`]
-/// form: a single tensor goes through [`Self::tables`] directly.
+/// One value per lane: row `e` of a panel holds unique entry `e` of each
+/// of its tensors, row `i` of a lane vector holds component `i` of each
+/// lane's vector.
+pub type LaneRow<S> = [S; LANE_WIDTH];
+
+/// The all-NaN row a lane kernel returns for wrongly sized rows, so a
+/// misuse poisons the lanes instead of panicking.
+#[inline]
+pub fn poisoned_row<S: Scalar>() -> LaneRow<S> {
+    [S::from_f64(f64::NAN); LANE_WIDTH]
+}
+
+/// `A·xᵐ` and `A·xᵐ⁻¹` for every lane of a panel, one call per
+/// contraction. `a` holds the panel's `U` entry rows, `x` and `y` the `n`
+/// component rows of the lane vectors. Wrongly sized rows yield NaN lanes
+/// ([`poisoned_row`]), never a panic.
+pub trait LaneKernel<S: Scalar>: Copy {
+    /// `A·xᵐ` for every lane.
+    fn axm(self, a: &[LaneRow<S>], x: &[LaneRow<S>]) -> LaneRow<S>;
+    /// `A·xᵐ⁻¹` for every lane, into `y` (overwritten).
+    fn axm1(self, a: &[LaneRow<S>], x: &[LaneRow<S>], y: &mut [LaneRow<S>]);
+}
+
+/// The table-walking lane kernel: one walk of the shared per-shape tables
+/// per panel, bitwise the scalar [`PrecomputedTables`] kernel per lane.
+///
+/// The walks stay out of line: inlined into the lockstep panel loop, the
+/// (5,4) SS-HOPM iteration measured ~25% slower (390 against 300 ns).
+impl<S: Scalar> LaneKernel<S> for &PrecomputedTables {
+    #[inline(never)]
+    fn axm(self, a: &[LaneRow<S>], x: &[LaneRow<S>]) -> LaneRow<S> {
+        if a.len() != self.num_unique() || x.len() != self.dim() {
+            return poisoned_row();
+        }
+        let mut out = [S::ZERO; LANE_WIDTH];
+        for ((u, &coeff), av) in self.coeffs().iter().enumerate().zip(a) {
+            let mut xhat = [S::ONE; LANE_WIDTH];
+            for &i in self.rep(u) {
+                let xi = &x[i as usize];
+                for w in 0..LANE_WIDTH {
+                    xhat[w] *= xi[w];
+                }
+            }
+            let c = S::from_u64(coeff);
+            for w in 0..LANE_WIDTH {
+                out[w] += c * av[w] * xhat[w];
+            }
+        }
+        out
+    }
+
+    #[inline(never)]
+    fn axm1(self, a: &[LaneRow<S>], x: &[LaneRow<S>], y: &mut [LaneRow<S>]) {
+        let n = self.dim();
+        if a.len() != self.num_unique() || x.len() != n || y.len() != n {
+            y.iter_mut().for_each(|row| *row = poisoned_row());
+            return;
+        }
+        let m = self.order();
+        y.iter_mut().for_each(|row| *row = [S::ZERO; LANE_WIDTH]);
+        for ((u, &c), av) in self.coeffs().iter().enumerate().zip(a) {
+            let rep = self.rep(u);
+            for &(j, kj) in self.distinct(u) {
+                // Product over the representation with one `j` removed —
+                // recomputed per distinct index exactly as the scalar
+                // kernel does, but across W lanes per multiply.
+                let mut xhat = [S::ONE; LANE_WIDTH];
+                let mut skipped = false;
+                for &i in rep {
+                    if !skipped && i == j {
+                        skipped = true;
+                        continue;
+                    }
+                    let xi = &x[i as usize];
+                    for w in 0..LANE_WIDTH {
+                        xhat[w] *= xi[w];
+                    }
+                }
+                let sigma = S::from_u64(multinomial1_from_stored(c, kj as usize, m));
+                let yj = &mut y[j as usize];
+                for w in 0..LANE_WIDTH {
+                    yj[w] += sigma * av[w] * xhat[w];
+                }
+            }
+        }
+    }
+}
+
+/// A generated `A·xᵐ` lane body: entry rows, component rows → one value
+/// per lane.
+pub type LaneAxmFn<S> = fn(&[LaneRow<S>], &[LaneRow<S>]) -> LaneRow<S>;
+
+/// A generated `A·xᵐ⁻¹` lane body: entry rows, component rows → output
+/// component rows.
+pub type LaneAxm1Fn<S> = fn(&[LaneRow<S>], &[LaneRow<S>], &mut [LaneRow<S>]);
+
+/// Generated straight-line lane bodies for one shape in one scalar type,
+/// as plain function pointers (the form [`BatchedKernels`] can carry
+/// without naming the crate that generates them).
+#[derive(Debug, Clone, Copy)]
+pub struct LaneBodies<S> {
+    /// `A·xᵐ` for every lane.
+    pub axm: LaneAxmFn<S>,
+    /// `A·xᵐ⁻¹` for every lane.
+    pub axm1: LaneAxm1Fn<S>,
+}
+
+impl<S: Scalar> LaneKernel<S> for LaneBodies<S> {
+    #[inline(always)]
+    fn axm(self, a: &[LaneRow<S>], x: &[LaneRow<S>]) -> LaneRow<S> {
+        (self.axm)(a, x)
+    }
+
+    #[inline(always)]
+    fn axm1(self, a: &[LaneRow<S>], x: &[LaneRow<S>], y: &mut [LaneRow<S>]) {
+        (self.axm1)(a, x, y)
+    }
+}
+
+/// The lockstep kernel family of one shape: the shared per-shape tables
+/// plus, for shapes with generated code, the straight-line
+/// [`LaneBodies`] in both scalar types. It has no per-tensor
+/// [`crate::TensorKernels`] form: a single tensor goes through
+/// [`Self::tables`] directly.
 #[derive(Debug, Clone)]
 pub struct BatchedKernels {
     tables: PrecomputedTables,
+    generated: Option<(LaneBodies<f32>, LaneBodies<f64>)>,
 }
 
 impl BatchedKernels {
-    /// Build the shared tables for shape `(m, n)`.
+    /// Table-walking lane kernels for shape `(m, n)`.
     pub fn new(m: usize, n: usize) -> Self {
         Self {
             tables: PrecomputedTables::new(m, n),
+            generated: None,
+        }
+    }
+
+    /// Lane kernels for shape `(m, n)` served by generated bodies (in
+    /// `f32` and `f64`), with the tables kept for panel layout.
+    pub fn with_bodies(m: usize, n: usize, f32: LaneBodies<f32>, f64: LaneBodies<f64>) -> Self {
+        Self {
+            tables: PrecomputedTables::new(m, n),
+            generated: Some((f32, f64)),
         }
     }
 
@@ -64,18 +208,34 @@ impl BatchedKernels {
     pub fn tables(&self) -> &PrecomputedTables {
         &self.tables
     }
+
+    /// True when generated bodies serve the panels (otherwise the tables
+    /// are walked).
+    #[inline]
+    pub fn is_generated(&self) -> bool {
+        self.generated.is_some()
+    }
+
+    /// The generated bodies in scalar type `S`, if the shape has them.
+    pub fn bodies<S: Scalar>(&self) -> Option<LaneBodies<S>> {
+        let (f32, f64) = self.generated.as_ref()?;
+        let both: [&dyn Any; 2] = [f32, f64];
+        both.iter()
+            .find_map(|b| b.downcast_ref::<LaneBodies<S>>())
+            .copied()
+    }
 }
 
 /// A structure-of-arrays view of up to [`LANE_WIDTH`] same-shape tensors:
-/// entry `e` of lane `w` lives at `soa[e * LANE_WIDTH + w]`, so the panel
-/// kernels stream `W` contiguous values per table step.
+/// entry `e` of lane `w` lives at `rows()[e][w]`, so the panel kernels
+/// stream `W` contiguous values per step.
 ///
-/// Unused tail lanes are zero tensors — they compute harmless zeros and
-/// their outputs are simply never read.
+/// Unused tail lanes are zero tensors — they compute harmless zeros (or
+/// NaNs) and their outputs are simply never read.
 #[derive(Debug, Clone)]
 pub struct LanePanel<S> {
     width: usize,
-    soa: Vec<S>,
+    rows: Vec<LaneRow<S>>,
 }
 
 impl<S: Scalar> LanePanel<S> {
@@ -106,15 +266,14 @@ impl<S: Scalar> LanePanel<S> {
                 found: (m, n),
             });
         }
-        let u = kernels.tables.num_unique();
-        let mut soa = vec![S::ZERO; u * LANE_WIDTH];
+        let mut rows = vec![[S::ZERO; LANE_WIDTH]; kernels.tables.num_unique()];
         for w in 0..width {
             let t = batch.try_get(start + w)?;
-            for (e, &v) in t.values().iter().enumerate() {
-                soa[e * LANE_WIDTH + w] = v;
+            for (row, &v) in rows.iter_mut().zip(t.values()) {
+                row[w] = v;
             }
         }
-        Ok(Self { width, soa })
+        Ok(Self { width, rows })
     }
 
     /// Gather from a slice of same-shape tensor views (the non-arena entry
@@ -129,17 +288,16 @@ impl<S: Scalar> LanePanel<S> {
                 actual: tensors.len(),
             });
         }
-        let u = kernels.tables.num_unique();
-        let mut soa = vec![S::ZERO; u * LANE_WIDTH];
+        let mut rows = vec![[S::ZERO; LANE_WIDTH]; kernels.tables.num_unique()];
         for (w, t) in tensors.iter().enumerate() {
             check_shape(t, kernels.order(), kernels.dim())?;
-            for (e, &v) in t.values().iter().enumerate() {
-                soa[e * LANE_WIDTH + w] = v;
+            for (row, &v) in rows.iter_mut().zip(t.values()) {
+                row[w] = v;
             }
         }
         Ok(Self {
             width: tensors.len(),
-            soa,
+            rows,
         })
     }
 
@@ -147,6 +305,13 @@ impl<S: Scalar> LanePanel<S> {
     #[inline]
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// The panel's entry rows: `rows()[e][w]` is unique entry `e` of lane
+    /// `w` (the `a` argument of a [`LaneKernel`]).
+    #[inline]
+    pub fn rows(&self) -> &[LaneRow<S>] {
+        &self.rows
     }
 
     /// `A·xᵐ` for every lane at once.
@@ -157,28 +322,17 @@ impl<S: Scalar> LanePanel<S> {
     /// [`LANE_WIDTH`]; entries past [`width`](Self::width) are meaningless).
     ///
     /// # Errors
-    /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`out`.
+    /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`out`,
+    /// and [`Error::ValueLengthMismatch`] if the panel was gathered for a
+    /// shape with a different entry count than `kernels`.
     pub fn axm(&self, kernels: &BatchedKernels, xs: &[S], out: &mut [S]) -> Result<()> {
-        let t = &kernels.tables;
-        check_vec(xs, t.dim() * LANE_WIDTH)?;
+        let x = self.lane_rows(kernels, xs)?;
         check_vec(out, LANE_WIDTH)?;
-        for o in out.iter_mut() {
-            *o = S::ZERO;
-        }
-        for (u, &coeff) in t.coeffs().iter().enumerate() {
-            let mut xhat = [S::ONE; LANE_WIDTH];
-            for &i in t.rep(u) {
-                let xi = &xs[i as usize * LANE_WIDTH..(i as usize + 1) * LANE_WIDTH];
-                for w in 0..LANE_WIDTH {
-                    xhat[w] *= xi[w];
-                }
-            }
-            let c = S::from_u64(coeff);
-            let av = &self.soa[u * LANE_WIDTH..(u + 1) * LANE_WIDTH];
-            for w in 0..LANE_WIDTH {
-                out[w] += c * av[w] * xhat[w];
-            }
-        }
+        let o = match kernels.bodies::<S>() {
+            Some(bodies) => bodies.axm(&self.rows, x),
+            None => LaneKernel::axm(kernels.tables(), &self.rows, x),
+        };
+        out.copy_from_slice(&o);
         Ok(())
     }
 
@@ -186,44 +340,30 @@ impl<S: Scalar> LanePanel<S> {
     /// component-major `n · LANE_WIDTH` layout as `xs`).
     ///
     /// # Errors
-    /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`ys`.
+    /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`ys`,
+    /// and [`Error::ValueLengthMismatch`] as for [`Self::axm`].
     pub fn axm1(&self, kernels: &BatchedKernels, xs: &[S], ys: &mut [S]) -> Result<()> {
-        let t = &kernels.tables;
-        let n = t.dim();
-        let m = t.order();
-        check_vec(xs, n * LANE_WIDTH)?;
-        check_vec(ys, n * LANE_WIDTH)?;
-        for e in ys.iter_mut() {
-            *e = S::ZERO;
-        }
-        for (u, &c) in t.coeffs().iter().enumerate() {
-            let rep = t.rep(u);
-            let av = &self.soa[u * LANE_WIDTH..(u + 1) * LANE_WIDTH];
-            for &(j, kj) in t.distinct(u) {
-                // Product over the representation with one `j` removed —
-                // recomputed per distinct index exactly as the scalar
-                // kernel does, but across W lanes per multiply.
-                let mut xhat = [S::ONE; LANE_WIDTH];
-                let mut skipped = false;
-                for &i in rep {
-                    if !skipped && i == j {
-                        skipped = true;
-                        continue;
-                    }
-                    let xi = &xs[i as usize * LANE_WIDTH..(i as usize + 1) * LANE_WIDTH];
-                    for w in 0..LANE_WIDTH {
-                        xhat[w] *= xi[w];
-                    }
-                }
-                let sigma = S::from_u64(multinomial1_from_stored(c, kj as usize, m));
-                let j = j as usize;
-                let yj = &mut ys[j * LANE_WIDTH..(j + 1) * LANE_WIDTH];
-                for w in 0..LANE_WIDTH {
-                    yj[w] += sigma * av[w] * xhat[w];
-                }
-            }
+        let x = self.lane_rows(kernels, xs)?;
+        check_vec(ys, kernels.dim() * LANE_WIDTH)?;
+        let (y, _) = ys.as_chunks_mut::<LANE_WIDTH>();
+        match kernels.bodies::<S>() {
+            Some(bodies) => bodies.axm1(&self.rows, x, y),
+            None => LaneKernel::axm1(kernels.tables(), &self.rows, x, y),
         }
         Ok(())
+    }
+
+    /// Validate the panel against `kernels` and view component-major `xs`
+    /// as lane rows.
+    fn lane_rows<'x>(&self, kernels: &BatchedKernels, xs: &'x [S]) -> Result<&'x [LaneRow<S>]> {
+        if self.rows.len() != kernels.tables.num_unique() {
+            return Err(Error::ValueLengthMismatch {
+                expected: kernels.tables.num_unique(),
+                actual: self.rows.len(),
+            });
+        }
+        check_vec(xs, kernels.dim() * LANE_WIDTH)?;
+        Ok(xs.as_chunks::<LANE_WIDTH>().0)
     }
 }
 
@@ -331,8 +471,8 @@ mod tests {
         let views: Vec<_> = (0..3).map(|i| batch.view().try_get(i).unwrap()).collect();
         let a = LanePanel::gather(&kernels, batch.view(), 0, 3).unwrap();
         let b = LanePanel::gather_views(&kernels, &views).unwrap();
-        assert_eq!(a.soa.len(), b.soa.len());
-        for (x, y) in a.soa.iter().zip(&b.soa) {
+        assert_eq!(a.rows().len(), b.rows().len());
+        for (x, y) in a.rows().iter().flatten().zip(b.rows().iter().flatten()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

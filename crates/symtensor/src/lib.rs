@@ -60,7 +60,7 @@ pub use dense::DenseTensor;
 pub use error::{Error, Result};
 pub use index::{IndexClass, IndexClassIter, MonomialRep};
 pub use kernels::{GeneralKernels, PrecomputedTables, TensorKernels};
-pub use lanes::{BatchedKernels, LanePanel, LANE_WIDTH};
+pub use lanes::{BatchedKernels, LaneBodies, LaneKernel, LanePanel, LaneRow, LANE_WIDTH};
 pub use multinomial::CombinatoricsOverflow;
 pub use scalar::Scalar;
 pub use storage::{SymTensor, SymTensorRef};

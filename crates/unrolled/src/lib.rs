@@ -31,7 +31,7 @@
 
 include!(concat!(env!("OUT_DIR"), "/generated.rs"));
 
-use symtensor::{Error, Result, Scalar, SymTensorRef, TensorKernels};
+use symtensor::{BatchedKernels, Error, LaneKernel, Result, Scalar, SymTensorRef, TensorKernels};
 
 /// A [`TensorKernels`] implementation backed by the generated straight-line
 /// kernels for one specific shape.
@@ -54,38 +54,45 @@ impl UnrolledKernels {
     }
 }
 
-fn check_shape<S: Scalar>(a: &SymTensorRef<'_, S>, m: usize, n: usize) -> Result<()> {
-    if (a.order(), a.dim()) == (m, n) {
-        Ok(())
-    } else {
-        Err(Error::ShapeMismatch {
+/// Validate a call's tensor shape and vector lengths, the checks the
+/// generated fixed-size bodies leave to their wrappers.
+fn check_call<S: Scalar>(
+    a: &SymTensorRef<'_, S>,
+    (m, n): (usize, usize),
+    vectors: &[usize],
+) -> Result<()> {
+    if (a.order(), a.dim()) != (m, n) {
+        return Err(Error::ShapeMismatch {
             expected: (m, n),
             found: (a.order(), a.dim()),
-        })
+        });
+    }
+    match vectors.iter().find(|&&len| len != n) {
+        Some(&actual) => Err(Error::VectorLengthMismatch {
+            expected: n,
+            actual,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The error for a dispatch miss, which the checks above rule out.
+fn miss<S: Scalar>(a: &SymTensorRef<'_, S>, expected: (usize, usize)) -> Error {
+    Error::ShapeMismatch {
+        expected,
+        found: (a.order(), a.dim()),
     }
 }
 
 impl<S: Scalar> TensorKernels<S> for UnrolledKernels {
     fn axm(&self, a: SymTensorRef<'_, S>, x: &[S]) -> Result<S> {
-        check_shape(&a, self.m, self.n)?;
-        // The shape was validated at construction, so the dispatch hit
-        // cannot miss; report a mismatch rather than unwrapping anyway.
-        dispatch_axm(self.m, self.n, a.values(), x).ok_or(Error::ShapeMismatch {
-            expected: (self.m, self.n),
-            found: (a.order(), a.dim()),
-        })
+        check_call(&a, self.shape(), &[x.len()])?;
+        dispatch_axm(self.m, self.n, a.values(), x).ok_or_else(|| miss(&a, self.shape()))
     }
 
     fn axm1(&self, a: SymTensorRef<'_, S>, x: &[S], y: &mut [S]) -> Result<()> {
-        check_shape(&a, self.m, self.n)?;
-        if dispatch_axm1(self.m, self.n, a.values(), x, y) {
-            Ok(())
-        } else {
-            Err(Error::ShapeMismatch {
-                expected: (self.m, self.n),
-                found: (a.order(), a.dim()),
-            })
-        }
+        check_call(&a, self.shape(), &[x.len(), y.len()])?;
+        dispatch_axm1(self.m, self.n, a.values(), x, y).ok_or_else(|| miss(&a, self.shape()))
     }
 
     fn name(&self) -> &'static str {
@@ -119,28 +126,41 @@ impl CseUnrolledKernels {
 
 impl<S: Scalar> TensorKernels<S> for CseUnrolledKernels {
     fn axm(&self, a: SymTensorRef<'_, S>, x: &[S]) -> Result<S> {
-        check_shape(&a, self.m, self.n)?;
-        dispatch_axm_cse(self.m, self.n, a.values(), x).ok_or(Error::ShapeMismatch {
-            expected: (self.m, self.n),
-            found: (a.order(), a.dim()),
-        })
+        check_call(&a, self.shape(), &[x.len()])?;
+        dispatch_axm_cse(self.m, self.n, a.values(), x).ok_or_else(|| miss(&a, self.shape()))
     }
 
     fn axm1(&self, a: SymTensorRef<'_, S>, x: &[S], y: &mut [S]) -> Result<()> {
-        check_shape(&a, self.m, self.n)?;
-        if dispatch_axm1_cse(self.m, self.n, a.values(), x, y) {
-            Ok(())
-        } else {
-            Err(Error::ShapeMismatch {
-                expected: (self.m, self.n),
-                found: (a.order(), a.dim()),
-            })
-        }
+        check_call(&a, self.shape(), &[x.len(), y.len()])?;
+        dispatch_axm1_cse(self.m, self.n, a.values(), x, y).ok_or_else(|| miss(&a, self.shape()))
     }
 
     fn name(&self) -> &'static str {
         "unrolled-cse"
     }
+}
+
+/// Code generic over a lane kernel. [`visit_lanes`] runs it on the
+/// generated kernel of a shape, passed by type, so the straight-line body
+/// inlines into the visitor's code (and compiles with its target
+/// features) instead of being called through a pointer.
+pub trait LaneVisitor<S: Scalar> {
+    /// What the visit returns.
+    type Output;
+    /// Run on `kernel`.
+    fn visit<K: LaneKernel<S>>(self, kernel: K) -> Self::Output;
+}
+
+/// Lane kernels for `(m, n)` served by the generated lane bodies (each
+/// lane bit for bit [`UnrolledKernels`]); `None` if the shape was not
+/// generated.
+pub fn lane_kernels(m: usize, n: usize) -> Option<BatchedKernels> {
+    Some(BatchedKernels::with_bodies(
+        m,
+        n,
+        lane_bodies::<f32>(m, n)?,
+        lane_bodies::<f64>(m, n)?,
+    ))
 }
 
 #[cfg(test)]
@@ -234,7 +254,7 @@ mod tests {
         let a = SymTensor::rank_one(4, &v);
         let x = random_unit(3, 6);
         let d: f64 = v.iter().zip(&x).map(|(p, q)| p * q).sum();
-        let got = s4_3::axm(a.values(), &x);
+        let got = s4_3::axm(a.values().try_into().unwrap(), &x.try_into().unwrap());
         assert!((got - d.powi(4)).abs() < 1e-10);
     }
 
@@ -315,5 +335,97 @@ mod tests {
         use symtensor::multinomial::num_unique_entries;
         assert_eq!(num_unique_entries(4, 3), 15);
         assert_eq!(num_unique_entries(3, 3), 10);
+    }
+
+    #[test]
+    fn wrong_vector_lengths_are_typed_errors_for_every_generated_shape() {
+        // The generated bodies take fixed-size arrays; the wrappers turn a
+        // short or long x or y into the error `general` returns.
+        for (i, &(m, n)) in GENERATED_SHAPES.iter().enumerate() {
+            let a = random_sym(m, n, 9100 + i as u64);
+            let plain = UnrolledKernels::for_shape(m, n).unwrap();
+            let cse = CseUnrolledKernels::for_shape(m, n).unwrap();
+            let kernels: [&dyn TensorKernels<f64>; 2] = [&plain, &cse];
+            for k in kernels {
+                let good = vec![0.5; n];
+                for len in [n - 1, n + 1] {
+                    let want = Error::VectorLengthMismatch {
+                        expected: n,
+                        actual: len,
+                    };
+                    let bad = vec![0.5; len];
+                    let mut y = vec![0.0; n];
+                    let mut bad_y = vec![0.0; len];
+                    let tag = format!("{} [{m},{n}] len {len}", k.name());
+                    assert_eq!(k.axm(a.view(), &bad), Err(want.clone()), "{tag} axm");
+                    assert_eq!(
+                        k.axm1(a.view(), &bad, &mut y),
+                        Err(want.clone()),
+                        "{tag} axm1 x"
+                    );
+                    assert_eq!(
+                        k.axm1(a.view(), &good, &mut bad_y),
+                        Err(want),
+                        "{tag} axm1 y"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_code_has_no_panicking_constructs() {
+        // The library panic-free gate scans src/, not build output: scan
+        // the generated kernels (scalar, CSE and lane forms) here.
+        let code = include_str!(concat!(env!("OUT_DIR"), "/generated.rs"));
+        assert!(code.contains("pub fn axm1_lanes"), "lane bodies generated");
+        for (i, line) in code.lines().enumerate() {
+            for construct in ["assert", "panic!(", ".unwrap()", ".expect("] {
+                assert!(
+                    !line.contains(construct),
+                    "generated.rs:{}: {construct} in `{line}`",
+                    i + 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_bodies_are_bitwise_the_scalar_kernels_per_lane() {
+        use symtensor::{LaneRow, LANE_WIDTH};
+        for (i, &(m, n)) in GENERATED_SHAPES.iter().enumerate() {
+            let tensors: Vec<SymTensor<f64>> = (0..LANE_WIDTH)
+                .map(|w| random_sym(m, n, 9300 + (i * LANE_WIDTH + w) as u64))
+                .collect();
+            let xs: Vec<Vec<f64>> = (0..LANE_WIDTH)
+                .map(|w| random_unit(n, 9500 + (i * LANE_WIDTH + w) as u64))
+                .collect();
+            let rows: Vec<LaneRow<f64>> = (0..tensors[0].values().len())
+                .map(|e| std::array::from_fn(|w| tensors[w].values()[e]))
+                .collect();
+            let x_rows: Vec<LaneRow<f64>> =
+                (0..n).map(|c| std::array::from_fn(|w| xs[w][c])).collect();
+            let bodies = lane_bodies::<f64>(m, n).unwrap();
+            let lane_axm = (bodies.axm)(&rows, &x_rows);
+            let mut lane_y = vec![[0.0; LANE_WIDTH]; n];
+            (bodies.axm1)(&rows, &x_rows, &mut lane_y);
+            let k = UnrolledKernels::for_shape(m, n).unwrap();
+            for w in 0..LANE_WIDTH {
+                let s = TensorKernels::axm(&k, tensors[w].view(), &xs[w]).unwrap();
+                assert_eq!(lane_axm[w].to_bits(), s.to_bits(), "[{m},{n}] lane {w}");
+                let mut y = vec![0.0; n];
+                TensorKernels::axm1(&k, tensors[w].view(), &xs[w], &mut y).unwrap();
+                for c in 0..n {
+                    assert_eq!(lane_y[c][w].to_bits(), y[c].to_bits(), "[{m},{n}] lane {w}");
+                }
+            }
+            // Rows of the wrong count poison the lanes instead of panicking.
+            assert!((bodies.axm)(&rows[1..], &x_rows).iter().all(|v| v.is_nan()));
+            (bodies.axm1)(&rows, &x_rows[1..], &mut lane_y);
+            assert!(lane_y.iter().flatten().all(|v| v.is_nan()));
+        }
+        assert!(lane_bodies::<f32>(5, 4).is_none());
+        assert!(lane_kernels(5, 4).is_none());
+        assert!(lane_kernels(4, 3).is_some_and(|k| k.is_generated()));
     }
 }

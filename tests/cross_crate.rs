@@ -36,7 +36,7 @@ fn all_kernel_implementations_agree_bitwise_on_f32() {
     let r_tables = BatchSolver::new(solver).solve_sequential(&tables, &tensors, &starts);
     let r_unrolled = run(KernelStrategy::Unrolled);
     let r_blocked = run(KernelStrategy::Blocked);
-    assert_eq!(r_unrolled.kernel, "unrolled");
+    assert_eq!(r_unrolled.kernel, "unrolled-lanes");
     assert_eq!(r_blocked.kernel, "blocked");
 
     for t in 0..tensors.len() {
